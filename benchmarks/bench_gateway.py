@@ -1,13 +1,13 @@
-"""HTTP gateway overhead vs the raw NDJSON TCP server.
+"""HTTP gateway overhead vs the in-process service facade.
 
-The gateway adds per-request HTTP framing, bearer-token auth, rate-
-limit accounting, and key namespacing on top of the same
-:class:`~repro.serve.AsyncHullService` the TCP server fronts.  This
-bench measures what that tenancy layer costs on the batched keyed
-ingest pattern, over the identical workload and engine configuration:
+The gateway adds JSON encoding, per-request HTTP framing over loopback,
+bearer-token auth, rate-limit accounting, and key namespacing on top of
+:class:`~repro.serve.AsyncHullService`.  This bench measures what the
+whole network front door costs on the batched keyed ingest pattern,
+over the identical workload and engine configuration:
 
-* **tcp** — :class:`~repro.serve.HullServer` +
-  :class:`~repro.serve.AsyncHullClient` (the PR 5 loopback baseline);
+* **facade** — ``AsyncHullService.ingest_arrays`` called in-process
+  (no wire, no JSON);
 * **http x1** — one tenant through :class:`~repro.gateway.HullGateway`
   with a :class:`~repro.gateway.GatewayClient` keep-alive connection;
 * **http x2** — the same workload split across two tenants on separate
@@ -15,9 +15,10 @@ ingest pattern, over the identical workload and engine configuration:
   under concurrency.
 
 Gates: per-key hulls through the gateway are **bit-identical** to the
-raw TCP path (the namespace layer must be invisible in the results),
-and — full runs only, CI smoke containers are too noisy — the
-single-tenant HTTP ingest rate stays within 2x of raw TCP.
+facade path (the wire and the namespace layer must be invisible in the
+results), and — full runs only, CI smoke containers are too noisy —
+the single-tenant HTTP ingest rate stays within ``OVERHEAD_GATE`` of
+the facade.
 """
 
 import asyncio
@@ -34,14 +35,14 @@ from repro.gateway import (
     Tenant,
     TenantRegistry,
 )
-from repro.serve import AsyncHullClient, AsyncHullService, HullServer
+from repro.serve import AsyncHullService
 from repro.streams import drifting_clusters_stream
 
 N = 4_000 if smoke() else 60_000
 KEYS = 16
 R = 32
 BATCH = 1_000
-OVERHEAD_GATE = 2.0  # http x1 vs tcp, full runs only
+OVERHEAD_GATE = 2.0  # http x1 vs the facade, full runs only
 
 
 def _workload():
@@ -57,30 +58,18 @@ def _engine():
     return StreamEngine(lambda: AdaptiveHull(R))
 
 
-async def _run_tcp(keys, pts):
+async def _run_facade(keys, pts):
     engine = _engine()
     async with AsyncHullService(engine, own_engine=True) as service:
-        async with HullServer(service) as server:
-            client = await AsyncHullClient.connect(port=server.port)
-            try:
-                t0 = time.perf_counter()
-                for s in range(0, N, BATCH):
-                    await client.ingest(
-                        [
-                            (k, float(x), float(y))
-                            for k, (x, y) in zip(
-                                keys[s : s + BATCH], pts[s : s + BATCH]
-                            )
-                        ]
-                    )
-                await client.flush()
-                rate = N / (time.perf_counter() - t0)
-                hulls = {}
-                for key in sorted(set(keys)):
-                    hulls[key] = await client.hull(key)
-                return rate, hulls
-            finally:
-                await client.aclose()
+        t0 = time.perf_counter()
+        for s in range(0, N, BATCH):
+            await service.ingest_arrays(keys[s : s + BATCH], pts[s : s + BATCH])
+        await service.flush()
+        rate = N / (time.perf_counter() - t0)
+        hulls = {}
+        for key in sorted(set(keys)):
+            hulls[key] = await service.hull(key)
+        return rate, hulls
 
 
 async def _run_http(keys, pts, tenants):
@@ -129,16 +118,17 @@ async def _run_http(keys, pts, tenants):
 
 def test_gateway_overhead():
     keys, pts = _workload()
-    tcp_rate, tcp_hulls = asyncio.run(_run_tcp(keys, pts))
+    base_rate, base_hulls = asyncio.run(_run_facade(keys, pts))
     one_rate, one_hulls = asyncio.run(_run_http(keys, pts, ["solo"]))
     two_rate, two_hulls = asyncio.run(
         _run_http(keys, pts, ["acme", "globex"])
     )
 
-    # Parity gate: the tenancy layer is invisible in the results — a
-    # single tenant's per-key hulls match the raw TCP server's exactly.
-    assert {k for (_, k) in one_hulls} == set(tcp_hulls)
-    for key, hull in tcp_hulls.items():
+    # Parity gate: the wire and the tenancy layer are invisible in the
+    # results — a single tenant's per-key hulls match the facade's
+    # exactly.
+    assert {k for (_, k) in one_hulls} == set(base_hulls)
+    for key, hull in base_hulls.items():
         assert one_hulls["solo", key] == hull, key
     # Two tenants fed disjoint batch slices of the same stream each get
     # exactly their own records: their per-key unions cover the stream.
@@ -146,24 +136,24 @@ def test_gateway_overhead():
     for (tenant, key), hull in two_hulls.items():
         assert hull, (tenant, key)
         per_key_counts[key] = per_key_counts.get(key, 0) + 1
-    assert set(per_key_counts) == set(tcp_hulls)
+    assert set(per_key_counts) == set(base_hulls)
 
-    overhead = tcp_rate / one_rate if one_rate else float("inf")
+    overhead = base_rate / one_rate if one_rate else float("inf")
     if not smoke():
         assert overhead < OVERHEAD_GATE, (
             f"gateway ingest overhead {overhead:.2f}x exceeds "
-            f"{OVERHEAD_GATE}x vs raw TCP"
+            f"{OVERHEAD_GATE}x vs the in-process facade"
         )
 
     lines = [
         f"{'path':>14} {'ingest rate':>16}",
-        f"{'tcp':>14} {tcp_rate:>12,.0f} r/s",
+        f"{'facade':>14} {base_rate:>12,.0f} r/s",
         f"{'http x1':>14} {one_rate:>12,.0f} r/s",
         f"{'http x2':>14} {two_rate:>12,.0f} r/s",
         "",
-        f"http/tcp overhead : {overhead:.2f}x (gate "
+        f"http/facade overhead : {overhead:.2f}x (gate "
         f"{'skipped (smoke)' if smoke() else f'< {OVERHEAD_GATE}x'})",
-        f"records           : {N:,} across {KEYS} keys, "
+        f"records              : {N:,} across {KEYS} keys, "
         f"batch {BATCH}",
     ]
     body = "\n".join(lines)
@@ -176,7 +166,7 @@ def test_gateway_overhead():
             "n": N,
             "keys": KEYS,
             "batch": BATCH,
-            "tcp_rate": tcp_rate,
+            "facade_rate": base_rate,
             "http_rate_1tenant": one_rate,
             "http_rate_2tenants": two_rate,
             "overhead_x": overhead,

@@ -2,31 +2,28 @@
 
 Measures the cost of the asyncio layer on the monitoring access
 pattern: batched keyed ingest with periodic global hull queries.
-Three paths over the identical drifting-cluster workload and the same
+Two paths over the identical drifting-cluster workload and the same
 in-process engine configuration:
 
 * **direct** — synchronous ``StreamEngine.ingest_arrays`` +
-  ``merged_hull`` calls (the PR 1 baseline shape);
+  ``merged_hull`` calls;
 * **facade** — through :class:`~repro.serve.AsyncHullService`
-  (bounded queue, batch coalescing, single engine thread);
-* **tcp** — through the NDJSON loopback
-  :class:`~repro.serve.HullServer` / :class:`~repro.serve.AsyncHullClient`
-  pair (JSON encode/decode + socket hops included).
+  (bounded queue, batch coalescing, single engine thread).
 
-The recorded JSON carries ingest rates and mean global-query latency
-per path plus the facade/tcp overhead ratios.  No machine-dependent
-assertion (1-CPU CI containers): the enforced property is the
-acceptance criterion — **bit-identical** global hulls across all three
-paths.  Coalescing typically makes the facade's *engine* batch count
-lower than the producer's put count; that is recorded too.
+The network front door on top of the facade is measured by
+``bench_gateway.py``.  The recorded JSON carries ingest rates and mean
+global-query latency per path plus the facade overhead ratio.  No
+machine-dependent assertion (1-CPU CI containers): the enforced
+property is the acceptance criterion — **bit-identical** global hulls
+on both paths.  Coalescing typically makes the facade's *engine* batch
+count lower than the producer's put count; that is recorded too.
 
-The multi-client section serves the same workload split across N
-concurrent loopback connections (``--clients N`` from the command
-line, ``REPRO_BENCH_CLIENTS`` under pytest) — one server, one shared
-service queue, interleaved pipelined ingests — and records the
-aggregate rate next to the single-client one, still gated on the
-parity property (every client's slice lands, global hull identical to
-the single-connection run).
+The multi-producer section feeds the same workload through N
+concurrent producer tasks (``--clients N`` from the command line,
+``REPRO_BENCH_CLIENTS`` under pytest) — one shared service queue,
+interleaved ingests — and records the aggregate rate next to the
+single-producer one, still gated on the parity property (every
+producer's slice lands, global hull identical to the direct run).
 """
 
 import asyncio
@@ -38,7 +35,7 @@ from _util import banner, smoke, write_json, write_report
 
 from repro.core import AdaptiveHull
 from repro.engine import StreamEngine
-from repro.serve import AsyncHullClient, AsyncHullService, HullServer
+from repro.serve import AsyncHullService
 from repro.streams import drifting_clusters_stream
 
 N = 5_000 if smoke() else 100_000
@@ -57,10 +54,9 @@ def _workload():
     return keys, pts
 
 
-#: Single-client baselines memoised across the two tests (both need
-#: the direct/TCP hulls for their parity gates; the workload is
-#: deterministic, so rerunning the most expensive sections would only
-#: double the bench job's wall time).
+#: Single-producer baselines memoised across the two tests (both need
+#: the direct/facade results for their parity gates; the workload is
+#: deterministic, so rerunning them would only double the wall time).
 _BASELINES: dict = {}
 
 
@@ -103,105 +99,61 @@ async def _run_facade(keys, pts):
         return rate, latency, hull, stats.batches_ingested
 
 
-async def _run_tcp(keys, pts):
+async def _run_facade_multi(keys, pts, n_producers):
+    """N concurrent producers splitting the same workload.
+
+    Each producer owns an interleaved slice of the batch sequence; the
+    single service queue coalesces across producers.  Returns the
+    aggregate rate, the final global hull (for the parity gate) and
+    the record count the engine saw."""
     engine = _engine()
     async with AsyncHullService(engine, own_engine=True) as service:
-        async with HullServer(service) as server:
-            client = await AsyncHullClient.connect(port=server.port)
-            try:
-                t0 = time.perf_counter()
-                for s in range(0, N, BATCH):
-                    await client.ingest(
-                        [
-                            (str(k), float(x), float(y))
-                            for k, (x, y) in zip(
-                                keys[s : s + BATCH], pts[s : s + BATCH]
-                            )
-                        ]
-                    )
-                await client.flush()
-                rate = N / (time.perf_counter() - t0)
-                q0 = time.perf_counter()
-                for _ in range(QUERIES):
-                    hull = await client.merged_hull()
-                latency = (time.perf_counter() - q0) / QUERIES
-                return rate, latency, hull
-            finally:
-                await client.aclose()
+        starts = list(range(0, N, BATCH))
 
+        async def one_producer(my_starts):
+            for s in my_starts:
+                await service.ingest_arrays(
+                    keys[s : s + BATCH], pts[s : s + BATCH]
+                )
 
-async def _run_tcp_multi(keys, pts, n_clients):
-    """N concurrent loopback clients splitting the same workload.
-
-    Each client owns a contiguous slice of the batch sequence and
-    pipelines its ingests over its own connection; the single service
-    queue coalesces across clients.  Returns the aggregate rate and
-    the final global hull (for the parity gate against the
-    single-client run)."""
-    engine = _engine()
-    async with AsyncHullService(engine, own_engine=True) as service:
-        # +1 admits the post-run probe even if a worker connection's
-        # server-side teardown lags its client-side close.
-        async with HullServer(
-            service, max_connections=n_clients + 1
-        ) as server:
-            starts = list(range(0, N, BATCH))
-            slices = [starts[i::n_clients] for i in range(n_clients)]
-
-            async def one_client(my_starts):
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    for s in my_starts:
-                        await client.ingest(
-                            [
-                                (str(k), float(x), float(y))
-                                for k, (x, y) in zip(
-                                    keys[s : s + BATCH], pts[s : s + BATCH]
-                                )
-                            ]
-                        )
-                    await client.flush()
-                finally:
-                    await client.aclose()
-
-            t0 = time.perf_counter()
-            await asyncio.gather(*(one_client(sl) for sl in slices))
-            rate = N / (time.perf_counter() - t0)
-            probe = await AsyncHullClient.connect(port=server.port)
-            try:
-                hull = await probe.merged_hull()
-                stats = await probe.stats()
-            finally:
-                await probe.aclose()
-            return rate, hull, stats["points_ingested"]
+        t0 = time.perf_counter()
+        await asyncio.gather(
+            *(one_producer(starts[i::n_producers]) for i in range(n_producers))
+        )
+        await service.flush()
+        rate = N / (time.perf_counter() - t0)
+        hull = await service.merged_hull()
+        stats = await service.stats()
+        return rate, hull, stats.points_ingested
 
 
 def test_serve_multi_client():
     keys, pts = _workload()
-    _, _, s_hull, _ = _baseline("direct", lambda: _run_direct(keys, pts))
-    t_rate, _, t_hull = _baseline(
-        "tcp", lambda: asyncio.run(_run_tcp(keys, pts))
+    _, _, d_hull, _ = _baseline("direct", lambda: _run_direct(keys, pts))
+    f_rate, _, _, _ = _baseline(
+        "facade", lambda: asyncio.run(_run_facade(keys, pts))
     )
     m_rate, m_hull, m_points = asyncio.run(
-        _run_tcp_multi(keys, pts, CLIENTS)
+        _run_facade_multi(keys, pts, CLIENTS)
     )
-    # Parity gate: concurrent clients interleave batches, but every
-    # record lands and per-key order is preserved per client slice —
+    # Parity gate: concurrent producers interleave batches, but every
+    # record lands and per-key order is preserved per producer slice —
     # the canonical-key-order global fold must match exactly.
-    assert m_points == N, f"multi-client run lost records: {m_points}/{N}"
-    assert m_hull == s_hull == t_hull, "multi-client hull diverged"
+    assert m_points == N, f"multi-producer run lost records: {m_points}/{N}"
+    assert m_hull == d_hull, "multi-producer hull diverged"
 
     lines = [
         f"{'path':>22} {'ingest rate':>16}",
-        f"{'tcp x1 client':>22} {t_rate:>12,.0f} r/s",
-        f"{f'tcp x{CLIENTS} clients':>22} {m_rate:>12,.0f} r/s",
+        f"{'facade x1 producer':>22} {f_rate:>12,.0f} r/s",
+        f"{f'facade x{CLIENTS} producers':>22} {m_rate:>12,.0f} r/s",
         "",
-        f"aggregate speedup : {m_rate / t_rate:.2f}x "
-        f"({CLIENTS} concurrent connections, one engine thread)",
+        f"aggregate speedup : {m_rate / f_rate:.2f}x "
+        f"({CLIENTS} concurrent producers, one engine thread)",
         "parity            : bit-identical global hull, no lost records",
     ]
     report = banner(
-        f"Multi-client serving, {N:,} records / {CLIENTS} clients", "\n".join(lines)
+        f"Multi-producer serving, {N:,} records / {CLIENTS} producers",
+        "\n".join(lines),
     )
     write_report("serve_multiclient", report)
     write_json(
@@ -214,42 +166,37 @@ def test_serve_multi_client():
             "batch": BATCH,
             "clients": CLIENTS,
             "smoke": smoke(),
-            "tcp_single_rate_records_per_sec": t_rate,
-            "tcp_multi_rate_records_per_sec": m_rate,
-            "multi_over_single": m_rate / t_rate,
+            "facade_single_rate_records_per_sec": f_rate,
+            "facade_multi_rate_records_per_sec": m_rate,
+            "multi_over_single": m_rate / f_rate,
             "parity_bit_identical": True,
         },
     )
     print("\n" + report)
 
 
-def test_serve_facade_and_tcp_vs_direct():
+def test_serve_facade_vs_direct():
     keys, pts = _workload()
     d_rate, d_lat, d_hull, d_batches = _baseline(
         "direct", lambda: _run_direct(keys, pts)
     )
-    f_rate, f_lat, f_hull, f_batches = asyncio.run(_run_facade(keys, pts))
-    t_rate, t_lat, t_hull = _baseline(
-        "tcp", lambda: asyncio.run(_run_tcp(keys, pts))
+    f_rate, f_lat, f_hull, f_batches = _baseline(
+        "facade", lambda: asyncio.run(_run_facade(keys, pts))
     )
 
-    # The acceptance property: identical answers through every door.
+    # The acceptance property: identical answers through both paths.
     assert f_hull == d_hull, "async facade result diverged from direct"
-    assert t_hull == d_hull, "tcp round trip result diverged from direct"
 
     lines = [
         f"{'path':>14} {'ingest rate':>16} {'query latency':>15}",
         f"{'direct sync':>14} {d_rate:>12,.0f} r/s {d_lat * 1e3:>11.2f} ms",
         f"{'async facade':>14} {f_rate:>12,.0f} r/s {f_lat * 1e3:>11.2f} ms",
-        f"{'tcp loopback':>14} {t_rate:>12,.0f} r/s {t_lat * 1e3:>11.2f} ms",
         "",
         f"facade overhead : {d_rate / f_rate:.2f}x ingest, "
         f"{f_lat / d_lat:.2f}x query latency",
-        f"tcp overhead    : {d_rate / t_rate:.2f}x ingest, "
-        f"{t_lat / d_lat:.2f}x query latency",
         f"engine batches  : direct {d_batches}, facade {f_batches} "
         "(coalescing)",
-        "parity          : bit-identical global hulls on all paths",
+        "parity          : bit-identical global hulls on both paths",
     ]
     report = banner(
         f"Async serving, {N:,} records / {KEYS} keys / batch {BATCH}", "\n".join(lines)
@@ -267,12 +214,9 @@ def test_serve_facade_and_tcp_vs_direct():
             "smoke": smoke(),
             "direct_rate_records_per_sec": d_rate,
             "facade_rate_records_per_sec": f_rate,
-            "tcp_rate_records_per_sec": t_rate,
             "direct_query_latency_sec": d_lat,
             "facade_query_latency_sec": f_lat,
-            "tcp_query_latency_sec": t_lat,
             "facade_ingest_overhead": d_rate / f_rate,
-            "tcp_ingest_overhead": d_rate / t_rate,
             "direct_engine_batches": d_batches,
             "facade_engine_batches": f_batches,
             "parity_bit_identical": True,
@@ -287,11 +231,11 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--clients", type=int, default=CLIENTS,
-        help="concurrent loopback clients for the multi-client section",
+        help="concurrent producers for the multi-producer section",
     )
     cli_args = parser.parse_args()
     if cli_args.clients < 1:
         raise SystemExit("bench_serve: --clients must be >= 1")
     CLIENTS = cli_args.clients
-    test_serve_facade_and_tcp_vs_direct()
+    test_serve_facade_vs_direct()
     test_serve_multi_client()

@@ -1,19 +1,14 @@
-"""Sharded ingestion: transport A/B, worker scaling, query latency.
+"""Sharded ingestion: wire throughput, worker scaling, query latency.
 
-Four measurements around :class:`~repro.shard.ShardedEngine`:
+Three measurements around :class:`~repro.shard.ShardedEngine`:
 
-* **Wire throughput** — a pipe pair driven in-process with a reader
-  thread, one request/reply per 10^5-record batch, for each transport
-  (``pickle`` / ``frames`` / ``shm``).  This isolates the serialisation
-  cost the zero-copy frame protocol removes: pickle copies every NumPy
-  buffer into the pickle stream, frames writes the array memory
-  straight to the pipe, shm memcpy's into a shared segment and ships
-  only a header.
-* **End-to-end A/B at 1 worker** — the full engine on each transport,
-  with the parent-side cost split (``partition_s`` routing/slicing vs
-  ``send_s`` wire writes vs ``collect_s`` waiting on acks) recorded
-  separately in the JSON.
-* **Worker scaling** — 1/2/4 workers on the default frames transport.
+* **Wire throughput** — a :class:`~repro.shard.transport.FramePipe`
+  pair driven in-process with a reader thread, one request/reply per
+  10^5-record batch.  This isolates the IPC cost of the zero-copy frame
+  protocol, which writes the array memory straight to the pipe.
+* **Worker scaling** — 1/2/4 workers, with the parent-side cost split
+  (``partition_s`` routing/slicing vs ``send_s`` wire writes vs
+  ``collect_s`` waiting on acks) recorded per worker count in the JSON.
   The >= 2x-at-4-workers assertion only makes sense with >= 4 usable
   cores; on smaller machines (and under REPRO_SMOKE=1) the series is
   still recorded but the machine-dependent gate is skipped (CI wires
@@ -37,7 +32,7 @@ import pytest
 from _util import banner, smoke, write_json, write_report
 
 from repro.shard import ShardedEngine, SummarySpec
-from repro.shard.transport import make_parent_pipe, make_worker_pipe, shm_available
+from repro.shard.transport import FramePipe
 
 N = int(
     os.environ.get("REPRO_SHARD_N") or (50_000 if smoke() else 1_000_000)
@@ -47,8 +42,6 @@ R = 32
 BATCH = 100_000
 WORKER_COUNTS = (1, 2, 4)
 PROBE_KEYS = 8  # per-run correctness probes
-
-TRANSPORTS = ["pickle", "frames"] + (["shm"] if shm_available() else [])
 
 
 def _cores() -> int:
@@ -71,14 +64,13 @@ def workload():
 # -- wire microbenchmark -------------------------------------------------
 
 
-def _wire_rate(transport: str, keys: np.ndarray, pts: np.ndarray) -> dict:
+def _wire_rate(keys: np.ndarray, pts: np.ndarray) -> dict:
     """Records/sec through one pipe pair for ingest-shaped messages,
     request/reply per batch (the shard protocol's discipline)."""
     import multiprocessing
 
     a, b = multiprocessing.Pipe()
-    parent = make_parent_pipe(a, transport)
-    worker = make_worker_pipe(b, transport)
+    parent, worker = FramePipe(a), FramePipe(b)
     batches = [
         ("ingest_arrays", keys[s : s + BATCH], pts[s : s + BATCH], None)
         for s in range(0, len(pts), BATCH)
@@ -113,11 +105,9 @@ def _wire_rate(transport: str, keys: np.ndarray, pts: np.ndarray) -> dict:
 # -- end-to-end runs -----------------------------------------------------
 
 
-def _run(workers: int, keys, pts, transport="frames", worker_push=True):
+def _run(workers: int, keys, pts):
     spec = SummarySpec("AdaptiveHull", {"r": R})
-    with ShardedEngine(
-        spec, shards=workers, transport=transport, worker_push=worker_push
-    ) as engine:
+    with ShardedEngine(spec, shards=workers) as engine:
         t0 = time.perf_counter()
         for s in range(0, len(pts), BATCH):
             engine.ingest_arrays(keys[s : s + BATCH], pts[s : s + BATCH])
@@ -154,25 +144,17 @@ def test_shard_scaling(workload):
     keys, pts = workload
     cores = _cores()
 
-    # 1) Wire throughput per transport (no engine, pure IPC).
-    wire = {tr: _wire_rate(tr, keys, pts) for tr in TRANSPORTS}
+    # 1) Wire throughput (no engine, pure IPC).
+    wire = _wire_rate(keys, pts)
 
-    # 2) End-to-end transport A/B at 1 worker, parent costs split out.
-    ab = {}
+    # 2) Worker scaling, parent costs split out.
     rates, probes, timings = {}, {}, {}
-    for tr in TRANSPORTS:
-        rate, probe, tm = _run(1, keys, pts, transport=tr)
-        ab[tr] = {"records_per_sec": rate, **tm}
-        if tr == "frames":
-            rates[1], probes[1], timings[1] = rate, probe, tm
-
-    # 3) Worker scaling on the default transport.
-    for w in WORKER_COUNTS[1:]:
+    for w in WORKER_COUNTS:
         rates[w], probes[w], timings[w] = _run(w, keys, pts)
     for w in WORKER_COUNTS[1:]:
         assert probes[w] == probes[1], f"per-key hulls diverged at {w} workers"
 
-    # 4) Global query latency: worker-push partials vs cold tree-reduce.
+    # 3) Global query latency: worker-push partials vs cold tree-reduce.
     latency = {
         "cold_s": _query_latency(keys, pts, worker_push=False),
         "warm_s": _query_latency(keys, pts, worker_push=True),
@@ -182,22 +164,19 @@ def test_shard_scaling(workload):
     speedup = {w: rates[w] / rates[1] for w in WORKER_COUNTS}
     assertion_active = cores >= 4 and not smoke()
 
-    lines = [f"wire throughput ({BATCH:,}-record request/reply):"]
-    for tr in TRANSPORTS:
-        lines.append(
-            f"{tr:>8} {wire[tr]['records_per_sec']:>12,.0f} rec/s "
-            f"({wire[tr]['mb_per_sec']:,.0f} MB/s)"
-        )
-    lines.append("end-to-end at 1 worker (partition / send / collect):")
-    for tr in TRANSPORTS:
-        lines.append(
-            f"{tr:>8} {ab[tr]['records_per_sec']:>12,.0f} rec/s  "
-            f"{ab[tr]['partition_s']:.3f}s / {ab[tr]['send_s']:.3f}s / "
-            f"{ab[tr]['collect_s']:.3f}s"
-        )
-    lines.append("worker scaling (frames):")
+    lines = [
+        f"wire throughput ({BATCH:,}-record request/reply): "
+        f"{wire['records_per_sec']:,.0f} rec/s "
+        f"({wire['mb_per_sec']:,.0f} MB/s)",
+        "worker scaling (partition / send / collect):",
+    ]
     for w in WORKER_COUNTS:
-        lines.append(f"{w:>8} {rates[w]:>12,.0f} rec/s {speedup[w]:>7.2f}x")
+        tm = timings[w]
+        lines.append(
+            f"{w:>8} {rates[w]:>12,.0f} rec/s {speedup[w]:>7.2f}x  "
+            f"{tm['partition_s']:.3f}s / {tm['send_s']:.3f}s / "
+            f"{tm['collect_s']:.3f}s"
+        )
     lines.append(
         f"merged_summary on {KEYS} keys: cold {latency['cold_s']*1e3:.2f} ms, "
         f"worker-push {latency['warm_s']*1e3:.2f} ms "
@@ -222,10 +201,8 @@ def test_shard_scaling(workload):
             "batch": BATCH,
             "cores": cores,
             "smoke": smoke(),
-            "transports": TRANSPORTS,
-            "transport_default": "frames",
+            "transport": "frames",
             "wire_throughput": wire,
-            "ab_1_worker": ab,
             "rates_records_per_sec": {str(w): rates[w] for w in WORKER_COUNTS},
             "speedup_vs_1_worker": {str(w): speedup[w] for w in WORKER_COUNTS},
             "parent_timings_s": {str(w): timings[w] for w in WORKER_COUNTS},
@@ -235,13 +212,7 @@ def test_shard_scaling(workload):
     )
     print("\n" + report)
     if not smoke():
-        # The point of the transport layer: raw frames must beat the
-        # pickled baseline on the wire, and worker-push partials must
-        # cut global query latency.
-        assert (
-            wire["frames"]["records_per_sec"]
-            > wire["pickle"]["records_per_sec"]
-        ), "frames transport did not beat pickle on wire throughput"
+        # Worker-push partials must cut global query latency.
         assert latency["warm_s"] < latency["cold_s"], (
             "worker-push partials did not reduce merged_summary latency"
         )

@@ -81,17 +81,20 @@ Both tiers implement one formal contract, :class:`EngineProtocol`
 (ingest / queries / standing-query subscribe / snapshots / lifecycle),
 so they are drop-in interchangeable — and the :mod:`repro.serve`
 package serves any of them asynchronously: a bounded batch-coalescing
-ingest queue, standing-query push to asyncio subscribers, periodic
-window expiry ticks, and a newline-delimited-JSON TCP server with a
-matching client (results bit-identical to direct synchronous calls)::
+ingest queue, standing-query push to asyncio subscribers, and periodic
+window expiry ticks.  The network front door over that facade is the
+multi-tenant HTTP/SSE :mod:`repro.gateway` (results bit-identical to
+direct synchronous calls)::
 
     from repro import AdaptiveHull, StreamEngine
-    from repro.serve import AsyncHullService, HullServer
+    from repro.gateway import HullGateway, Tenant, TenantRegistry
+    from repro.serve import AsyncHullService
 
     engine = StreamEngine(lambda: AdaptiveHull(32))
+    registry = TenantRegistry([Tenant(id="ops", token="ops-token")])
     async with AsyncHullService(engine, own_engine=True) as service:
-        async with HullServer(service, port=8765) as server:
-            await server.serve_forever()
+        async with HullGateway(service, registry, port=8765) as gateway:
+            await gateway.serve_forever()
 
 Production streams also need to survive crashes: ``durability=`` gives
 either tier a write-ahead log (appended *before* apply, so recovery =
@@ -134,7 +137,7 @@ from .engine import (
     TimePolicy,
 )
 from .extensions.clusterhull import ClusterHull
-from .serve import AsyncHullClient, AsyncHullService, HullServer
+from .serve import AsyncHullService
 from .shard import HashRing, ShardedEngine, ShardError, ShardStats, SummarySpec, tree_merge
 from .queries import (
     ContainmentTracker,
@@ -170,8 +173,6 @@ __all__ = [
     "Subscription",
     "EngineProtocol",
     "AsyncHullService",
-    "HullServer",
-    "AsyncHullClient",
     "ShardedEngine",
     "ShardError",
     "ShardStats",

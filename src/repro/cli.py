@@ -17,14 +17,12 @@ Usage::
     python -m repro window [--keys K] [--n N] [--r R] [--batch B]
                            [--last-n N | --horizon T] [--max-delay D]
                            [--workers W] [--snapshot PATH] [--seed S]
-    python -m repro serve run   [--host H] [--port P] [--r R]
-                                [--last-n N | --horizon T] [--max-delay D]
-                                [--workers W] [--replicas N] [--wal-dir DIR]
-                                [--tick SEC] [--duration SEC]
-                                [--selfcheck] [--snapshot PATH]
-                                [--metrics-port P]
-    python -m repro serve bench [--n N] [--keys K] [--batch B] [--r R]
-                                [--workers W] [--queries Q]
+    python -m repro gateway [--host H] [--port P] [--tenants FILE] [--r R]
+                            [--last-n N | --horizon T] [--max-delay D]
+                            [--workers W] [--replicas N] [--wal-dir DIR]
+                            [--tick SEC] [--duration SEC]
+                            [--selfcheck] [--snapshot PATH]
+                            [--metrics-port P]
     python -m repro metrics [--keys K] [--n N] [--r R] [--batch B]
                             [--workers W] [--last-n N | --horizon T]
                             [--max-delay D] [--format prom|json]
@@ -44,11 +42,11 @@ multi-process :class:`~repro.shard.ShardedEngine` — consistent-hash
 routing across W workers, global merged-hull queries, and a whole-ring
 snapshot/restore check; ``window`` streams drifting clusters through a
 sliding-window engine (count- or time-based) and contrasts the live
-window's hull/diameter with the ever-growing all-time hull; ``serve``
-is the asyncio front door — ``run`` starts the NDJSON TCP server over
-either engine tier, ``bench`` measures ingest throughput and query
-latency through the async facade and the TCP loop against direct
-synchronous calls (with a bit-identical parity check); ``metrics``
+window's hull/diameter with the ever-growing all-time hull;
+``gateway`` is the network front door — the multi-tenant HTTP/SSE
+server (bearer auth, per-tenant namespaces, quotas, rate limits) over
+the async service facade and either engine tier, with a loopback
+``--selfcheck``; ``metrics``
 runs a keyed workload through either tier and dumps (or, with
 ``--watch``, periodically re-prints per-second *rates* from a scrape
 history of) the :mod:`repro.obs` registry as a Prometheus text page or
@@ -57,7 +55,7 @@ a JSON snapshot; ``durable`` operates on a write-ahead log directory —
 ``recover`` rebuilds the engine (snapshot + tail replay, bit-identical
 by determinism) and reports what came back, ``dead-letters`` lists and
 optionally redrives the later-than-watermark records the bounded-
-lateness window dropped.  ``--wal-dir`` on ``shard``/``serve run``
+lateness window dropped.  ``--wal-dir`` on ``shard``/``gateway``
 makes ingest durable (and recovers first when the directory already
 holds a log); ``--replicas`` adds that many standby workers per shard,
 promoted automatically when a primary dies.
@@ -146,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a whole-ring snapshot here and verify restore",
     )
     sh.add_argument(
-        "--transport", choices=["pickle", "frames", "shm"], default="frames",
-        help="worker pipe protocol (frames = zero-copy default)",
-    )
-    sh.add_argument(
         "--replicas", type=int, default=0,
         help="standby replica workers per shard (promoted on primary death)",
     )
@@ -195,89 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write an engine snapshot here and verify restore",
     )
     win.add_argument("--seed", type=int, default=0)
-
-    srv = sub.add_parser(
-        "serve", help="asyncio serving front door (NDJSON over TCP)"
-    )
-    srv_sub = srv.add_subparsers(dest="serve_cmd", required=True)
-
-    run = srv_sub.add_parser("run", help="start the hull server")
-    run.add_argument("--host", default="127.0.0.1")
-    run.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (0 picks an ephemeral port, printed on start)",
-    )
-    run.add_argument("--r", type=int, default=32, help="adaptive parameter r")
-    mode = run.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--last-n", type=int, default=None,
-        help="count-based window per key (default: no window)",
-    )
-    mode.add_argument(
-        "--horizon", type=float, default=None,
-        help="time-based window in seconds (records carry wall-clock ts)",
-    )
-    run.add_argument(
-        "--max-delay", type=float, default=None,
-        help="bounded-lateness tolerance in seconds (needs --horizon): "
-        "out-of-order records within the bound are reordered by the "
-        "watermark; later ones are counted and dropped",
-    )
-    run.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process StreamEngine)",
-    )
-    run.add_argument(
-        "--replicas", type=int, default=0,
-        help="standby replica workers per shard (needs --workers >= 1)",
-    )
-    run.add_argument(
-        "--wal-dir", default=None,
-        help="write-ahead log directory: ingest is durable before it "
-        "applies; a directory holding a prior log is recovered first "
-        "(the logged window/spec win over the flags)",
-    )
-    run.add_argument(
-        "--tick", type=float, default=None,
-        help="advance_time tick interval in seconds (time windows only; "
-        "uses the wall clock)",
-    )
-    run.add_argument(
-        "--duration", type=float, default=0.0,
-        help="serve for this many seconds then drain and exit (0 = forever)",
-    )
-    run.add_argument(
-        "--selfcheck", action="store_true",
-        help="run a loopback client workload against the live server, "
-        "verify results, then exit",
-    )
-    run.add_argument(
-        "--snapshot", default=None,
-        help="write a final engine snapshot here on shutdown",
-    )
-    run.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="additionally serve plain-HTTP GET /metrics (Prometheus "
-        "text format) on this port (0 = ephemeral, printed on start)",
-    )
-
-    sbench = srv_sub.add_parser(
-        "bench", help="async facade + TCP throughput/latency vs direct calls"
-    )
-    sbench.add_argument("--n", type=int, default=50_000, help="records")
-    sbench.add_argument("--keys", type=int, default=32, help="keyed streams")
-    sbench.add_argument(
-        "--batch", type=int, default=2_000, help="records per batch"
-    )
-    sbench.add_argument("--r", type=int, default=32)
-    sbench.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process StreamEngine)",
-    )
-    sbench.add_argument(
-        "--queries", type=int, default=20, help="global queries per path"
-    )
-    sbench.add_argument("--seed", type=int, default=0)
 
     gw = sub.add_parser(
         "gateway",
@@ -616,14 +527,12 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             args.wal_dir,
             workers=args.workers,
             standbys=args.replicas,
-            transport=args.transport,
             durability=durability,
         )
     else:
         engine = ShardedEngine(
             spec,
             shards=args.workers,
-            transport=args.transport,
             standbys=args.replicas,
             durability=durability,
         )
@@ -650,7 +559,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             for i, s in enumerate(stats.per_shard)
         )
         print(f"workers      : {args.workers}")
-        print(f"transport    : {args.transport}")
         print(f"streams      : {stats.streams}")
         print(f"records      : {stats.points_ingested:,} in "
               f"{stats.batches_ingested} batches")
@@ -793,8 +701,8 @@ def _tier_engine(args, prog: str, default_window=None):
     """Validate the shared tier/window flags and build the requested
     engine (both tiers implement EngineProtocol, so callers stay
     tier-agnostic).  Returns ``(engine, restore)`` with ``restore`` the
-    tier's snapshot-file loader.  Shared by the ``window`` and
-    ``serve`` subcommands so their construction cannot drift."""
+    tier's snapshot-file loader.  Shared by the ``window``, ``metrics``
+    and ``gateway`` subcommands so their construction cannot drift."""
     import math
 
     from .window import WindowConfig
@@ -941,292 +849,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_run(args: argparse.Namespace) -> int:
-    import asyncio
-    import time
-
-    from .serve import AsyncHullClient, AsyncHullService, HullServer
-
-    if args.tick is not None and (
-        args.horizon is None or args.tick <= 0.0
-    ):
-        raise SystemExit("serve: --tick needs --horizon and must be > 0")
-
-    async def scrape_metrics(host: str, port: int) -> str:
-        """One plain-HTTP GET /metrics round trip; returns the body."""
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(
-                f"GET /metrics HTTP/1.0\r\nHost: {host}\r\n\r\n".encode()
-            )
-            await writer.drain()
-            raw = await reader.read()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        head, _, body = raw.partition(b"\r\n\r\n")
-        if b"200" not in head.split(b"\r\n", 1)[0]:
-            raise RuntimeError(f"/metrics scrape failed: {head[:120]!r}")
-        return body.decode("utf-8")
-
-    async def selfcheck(port: int, metrics_port=None) -> bool:
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        pts = rng.normal(0.0, 2.0, (2000, 2))
-        # Synthetic event times run an hour AHEAD of the wall clock:
-        # the --tick ticker advances the ring clock to time.time(), and
-        # timestamps near "now" would race it (a tick between two
-        # batches rejects the second batch as stale).
-        now = time.time() + 3600.0
-        client = await AsyncHullClient.connect(args.host, port)
-        try:
-            await client.ping()
-            ts = now + np.arange(len(pts)) * 1e-4
-            records = []
-            for i, (x, y) in enumerate(pts):
-                rec = [f"check-{i % 8}", float(x), float(y)]
-                if args.horizon is not None:
-                    rec.append(float(ts[i]))
-                records.append(rec)
-            late_expected = 0
-            if args.horizon is not None and args.max_delay is not None:
-                # Bounded lateness: ship the stream shuffled within the
-                # bound — the server's watermark must reorder it — and
-                # one record far beyond it, which must be counted and
-                # dropped, never applied.
-                from .streams import bounded_shuffle
-
-                order = bounded_shuffle(ts, args.max_delay, seed=1)
-                records = [records[i] for i in order]
-                records.append(
-                    ["check-late", 0.0, 0.0, float(ts[0]) - 10 * args.max_delay]
-                )
-                late_expected = 1
-            queued = sum(
-                [
-                    await client.ingest(records[s : s + 500])
-                    for s in range(0, len(records), 500)
-                ]
-            )
-            await client.flush()
-            if args.horizon is not None and args.max_delay is not None:
-                # Heartbeat the watermark past the newest event so
-                # nothing is still sitting in the reorder buffers (2x
-                # the bound: (t + d) - d can round below t in floats).
-                await client.advance_time(float(ts[-1]) + 2 * args.max_delay)
-            hull = await client.merged_hull()
-            diam = await client.diameter()
-            stats = await client.stats()
-            late_ok = True
-            if late_expected:
-                sstats = await client.service_stats()
-                drops = await client.late_drops()
-                late_ok = (
-                    sstats["late_dropped"] == late_expected
-                    and drops == {"check-late": late_expected}
-                )
-                print(f"selfcheck    : late drops {sstats['late_dropped']} "
-                      f"(expected {late_expected})")
-            print(f"selfcheck    : queued {queued}, streams "
-                  f"{stats['streams']}, hull {len(hull)} vertices, "
-                  f"diameter {diam:.3f}")
-            metrics_ok = True
-            if metrics_port is not None:
-                # Scrape the plain-HTTP listener and print the page so
-                # an outer harness (CI) can grep metric families from
-                # this command's stdout.
-                text = await scrape_metrics(args.host, metrics_port)
-                metrics_ok = "repro_ingest_records_total" in text
-                print(f"metrics      : scraped {len(text)} bytes from "
-                      f"/metrics (ok={metrics_ok})")
-                print(text)
-            return (
-                queued == len(records)
-                and stats["points_ingested"] >= queued - late_expected
-                and stats["late_dropped"] == late_expected
-                and late_ok
-                and metrics_ok
-                and len(hull) >= 3
-                and diam > 0.0
-            )
-        finally:
-            await client.aclose()
-
-    async def main() -> int:
-        engine, _ = _tier_engine(args, "serve")
-        replay = getattr(engine, "last_replay", None)
-        if replay is not None:
-            print(f"recovered    : {replay['entries']} WAL entries "
-                  f"({replay['records']:,} records, "
-                  f"{replay['rejected']} rejected)")
-        service = AsyncHullService(
-            engine,
-            tick_interval=args.tick,
-            clock=time.time if args.tick is not None else None,
-            own_engine=True,
-        )
-        ok = True
-        async with service:
-            async with HullServer(
-                service,
-                args.host,
-                args.port,
-                metrics_port=args.metrics_port,
-            ) as server:
-                window = engine.window
-                mode = (
-                    "no window" if window is None
-                    else f"last_n={window.last_n}" if not window.timed
-                    else f"horizon={window.horizon}"
-                    + (
-                        f" max_delay={window.max_delay}"
-                        if window.max_delay is not None
-                        else ""
-                    )
-                )
-                tier = (
-                    f"sharded x{args.workers}" if args.workers
-                    else "in-process"
-                )
-                print(f"serving      : {args.host}:{server.port} "
-                      f"({tier}, {mode}, r={args.r})")
-                if engine.wal is not None:
-                    print(f"wal          : {args.wal_dir} "
-                          f"(seq {engine.wal.last_seq})")
-                if server.metrics_port is not None:
-                    print(f"metrics      : http://{args.host}:"
-                          f"{server.metrics_port}/metrics")
-                if args.selfcheck:
-                    ok = await selfcheck(
-                        server.port, metrics_port=server.metrics_port
-                    )
-                elif args.duration > 0:
-                    await asyncio.sleep(args.duration)
-                else:
-                    try:
-                        await server.serve_forever()
-                    except asyncio.CancelledError:
-                        # Operator stop (Ctrl-C): fall through so the
-                        # drain and the final snapshot still happen.
-                        pass
-            # Drain + final snapshot through aclose, which stays
-            # correct even when the runner cancelled the drain task
-            # too (Python 3.10's Ctrl-C cancels every task, not just
-            # this one — a bare flush() would hang with no consumer).
-            await service.aclose(final_snapshot=args.snapshot)
-            sstats = service.service_stats()
-            print(f"drained      : {sstats['ingested_records']:,} records "
-                  f"({sstats['coalesced_batches']} batches coalesced, "
-                  f"{sstats['ingest_errors']} rejected)")
-            if args.snapshot:
-                print(f"snapshot     : {args.snapshot}")
-        return 0 if ok else 1
-
-    try:
-        return asyncio.run(main())
-    except KeyboardInterrupt:
-        # main() already drained and snapshotted on cancellation;
-        # asyncio.run re-raises the interrupt afterwards.
-        return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import asyncio
-    import time
-
-    import numpy as np
-
-    from .serve import AsyncHullClient, AsyncHullService, HullServer
-
-    if args.keys < 1 or args.batch < 1 or args.n < 1 or args.queries < 1:
-        raise SystemExit("serve: --n/--keys/--batch/--queries must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    keys = np.array([f"stream-{i:04d}" for i in range(args.keys)])
-    centers = rng.uniform(-100.0, 100.0, (args.keys, 2))
-    idx = rng.integers(0, args.keys, args.n)
-    pts = centers[idx] + rng.normal(0.0, 2.0, (args.n, 2))
-    all_keys = keys[idx]
-
-    def batches():
-        for s in range(0, args.n, args.batch):
-            yield all_keys[s : s + args.batch], pts[s : s + args.batch]
-
-    def run_direct():
-        engine, _ = _tier_engine(args, "serve")
-        with engine:
-            t0 = time.perf_counter()
-            for kb, pb in batches():
-                engine.ingest_arrays(kb, pb)
-            rate = args.n / (time.perf_counter() - t0)
-            q0 = time.perf_counter()
-            for _ in range(args.queries):
-                hull = engine.merged_hull()
-            q_lat = (time.perf_counter() - q0) / args.queries
-            return rate, q_lat, hull
-
-    async def run_service():
-        engine, _ = _tier_engine(args, "serve")
-        async with AsyncHullService(engine, own_engine=True) as service:
-            t0 = time.perf_counter()
-            for kb, pb in batches():
-                await service.ingest_arrays(kb, pb)
-            await service.flush()
-            rate = args.n / (time.perf_counter() - t0)
-            q0 = time.perf_counter()
-            for _ in range(args.queries):
-                hull = await service.merged_hull()
-            q_lat = (time.perf_counter() - q0) / args.queries
-            return rate, q_lat, hull
-
-    async def run_tcp():
-        engine, _ = _tier_engine(args, "serve")
-        async with AsyncHullService(engine, own_engine=True) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    t0 = time.perf_counter()
-                    for kb, pb in batches():
-                        await client.ingest(
-                            [
-                                (str(k), float(x), float(y))
-                                for k, (x, y) in zip(kb, pb)
-                            ]
-                        )
-                    await client.flush()
-                    rate = args.n / (time.perf_counter() - t0)
-                    q0 = time.perf_counter()
-                    for _ in range(args.queries):
-                        hull = await client.merged_hull()
-                    q_lat = (time.perf_counter() - q0) / args.queries
-                    return rate, q_lat, hull
-                finally:
-                    await client.aclose()
-
-    d_rate, d_lat, d_hull = run_direct()
-    s_rate, s_lat, s_hull = asyncio.run(run_service())
-    t_rate, t_lat, t_hull = asyncio.run(run_tcp())
-    print(f"{'path':>16} {'ingest rate':>16} {'query latency':>15}")
-    for name, rate, lat in (
-        ("direct sync", d_rate, d_lat),
-        ("async facade", s_rate, s_lat),
-        ("tcp loopback", t_rate, t_lat),
-    ):
-        print(f"{name:>16} {rate:>12,.0f} r/s {lat * 1e3:>11.2f} ms")
-    parity = d_hull == s_hull == t_hull
-    print(f"parity       : bit-identical global hulls: {parity}")
-    return 0 if parity else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.serve_cmd == "bench":
-        return _cmd_serve_bench(args)
-    return _cmd_serve_run(args)
-
-
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import asyncio
     import time
@@ -1262,13 +884,28 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             admin_token="admin-token",
         )
 
-    async def selfcheck(port: int) -> bool:
+    async def scrape_metrics(port: int) -> str:
+        """One plain-HTTP GET /metrics off the dedicated listener."""
+        reader, writer = await asyncio.open_connection(args.host, port)
+        try:
+            writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
+            await writer.drain()
+            raw = await reader.read()
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        if b" 200 " not in head.split(b"\r\n", 1)[0]:
+            raise RuntimeError(f"/metrics scrape failed: {head[:120]!r}")
+        return body.decode("utf-8")
+
+    async def selfcheck(port: int, metrics_port=None) -> bool:
         import numpy as np
 
         tenants = registry.tenants()[:2]
         rng = np.random.default_rng(0)
-        # Synthetic event times run ahead of the wall clock so a --tick
-        # ticker can never mark them stale (same trick as serve).
+        # Synthetic event times run an hour ahead of the wall clock so a
+        # --tick ticker can never mark them stale.
         now = time.time() + 3600.0
         ok = True
         clients = []
@@ -1293,35 +930,46 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             # global, so an earlier range would be late once the
             # previous tenant's flush advanced the watermark.
             base = now + 10.0 * t_i
+            ts = base + np.arange(per_tenant) * 1e-4
             records = []
             for i, (x, y) in enumerate(pts):
                 rec = [f"gw-{i % 4}", float(x), float(y)]
                 if args.horizon is not None:
-                    rec.append(base + i * 1e-4)
+                    rec.append(float(ts[i]))
                 records.append(rec)
-            for s in range(0, len(records), 200):
-                await client.ingest(
-                    records[s:s + 200],
-                    sync=s + 200 >= len(records),
-                )
             if args.max_delay is not None:
-                # Bounded lateness buffers everything within the bound;
-                # push the watermark past it so the queries below see
-                # the applied records.
+                # Bounded lateness: ship the stream shuffled within the
+                # bound — the watermark must reorder it.
+                from .streams import bounded_shuffle
+
+                order = bounded_shuffle(ts, args.max_delay, seed=t_i)
+                records = [records[i] for i in order]
+            for s in range(0, len(records), 200):
+                await client.ingest(records[s:s + 200])
+            await client.flush()
+            if args.max_delay is not None:
+                # Push the watermark past the newest event so nothing
+                # still sits in the reorder buffers (2x the bound:
+                # (t + d) - d can round below t in floats).
                 await admin.advance_time(
-                    base + per_tenant * 1e-4 + 2 * args.max_delay
+                    float(ts[-1]) + 2 * args.max_delay
                 )
             keys = await client.keys()
             hull = await client.hull("gw-0")
             hulls[tenant.id] = hull
+            merged = await client.merged_hull()
+            diam = await client.diameter()
             stats = await client.stats()
             print(f"selfcheck    : tenant {tenant.id} keys={len(keys)} "
-                  f"hull={len(hull)} "
+                  f"hull={len(hull)} merged={len(merged)} "
+                  f"diameter={diam:.3f} "
                   f"ingested={stats['ingested_records']}")
             ok = (
                 ok
                 and keys == [f"gw-{i}" for i in range(4)]
                 and len(hull) >= 3
+                and len(merged) >= 3
+                and diam > 0.0
                 and stats["ingested_records"] == per_tenant
             )
         if len(tenants) == 2:
@@ -1330,6 +978,20 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             isolated = hulls[tenants[0].id] != hulls[tenants[1].id]
             print(f"selfcheck    : namespace isolation ok={isolated}")
             ok = ok and isolated
+        if args.max_delay is not None:
+            # A record far beyond the lateness bound is counted and
+            # dropped, never applied — and attributed to its tenant.
+            await clients[0].ingest(
+                [["gw-late", 0.0, 0.0, now - 10 * args.max_delay]],
+                sync=True,
+            )
+            drops = await clients[0].late_drops()
+            late_ok = (
+                drops == {"gw-late": 1}
+                and (await clients[0].stats())["late_dropped"] == 1
+            )
+            print(f"selfcheck    : late drops {drops} ok={late_ok}")
+            ok = ok and late_ok
         # SSE: a subscriber must see its own ingest pushed.
         sse = await clients[0].subscribe()
         probe = ["gw-sse", 0.5, 0.5]
@@ -1353,16 +1015,22 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         print(f"selfcheck    : bogus token -> {status}")
         ok = ok and status == 401
         await anon.aclose()
-        # Scrape /metrics and print the page so an outer harness (CI)
-        # can grep per-tenant families from this command's stdout.
-        text = await clients[0].metrics_text()
+        # Scrape /metrics (off the dedicated listener when there is
+        # one) and print the page so an outer harness (CI) can grep
+        # metric families from this command's stdout.
+        if metrics_port is not None:
+            text = await scrape_metrics(metrics_port)
+            where = f"metrics port {metrics_port}"
+        else:
+            text = await clients[0].metrics_text()
+            where = f"port {port}"
         labeled = f'tenant="{tenants[0].id}"' in text
         ok = (
             ok
             and "repro_gateway_requests_total" in text
             and labeled
         )
-        print(f"metrics      : scraped {len(text)} bytes "
+        print(f"metrics      : scraped {len(text)} bytes from {where} "
               f"(tenant label ok={labeled})")
         print(text)
         if admin is not None:
@@ -1433,7 +1101,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                     print(f"metrics      : http://{args.host}:"
                           f"{gateway.metrics_port}/metrics")
                 if args.selfcheck:
-                    ok = await selfcheck(gateway.port)
+                    ok = await selfcheck(
+                        gateway.port, metrics_port=gateway.metrics_port
+                    )
                 elif args.duration > 0:
                     await asyncio.sleep(args.duration)
                 else:
@@ -1666,7 +1336,6 @@ _COMMANDS = {
     "engine": _cmd_engine,
     "shard": _cmd_shard,
     "window": _cmd_window,
-    "serve": _cmd_serve,
     "gateway": _cmd_gateway,
     "metrics": _cmd_metrics,
     "durable": _cmd_durable,

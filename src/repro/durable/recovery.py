@@ -167,7 +167,6 @@ def recover_sharded_engine(
     max_streams=None,
     start_method=None,
     window=_UNSET,
-    transport="frames",
     worker_push=True,
     on_late=None,
     durability: Optional[DurabilityConfig] = None,
@@ -192,7 +191,6 @@ def recover_sharded_engine(
     common = dict(
         max_streams=max_streams,
         start_method=start_method,
-        transport=transport,
         worker_push=worker_push,
         on_late=on_late,
         standbys=standbys,

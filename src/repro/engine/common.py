@@ -110,7 +110,7 @@ def canonical_key_order(key: Hashable) -> Tuple[str, str]:
     merged answer depends only on *what* was ingested per key — never
     on batch interleaving, LRU touch order, or whether keys arrived as
     NumPy or Python values.  That is what makes results through the
-    async/TCP front door bit-identical to direct synchronous calls.
+    async/HTTP front door bit-identical to direct synchronous calls.
 
     Keys with a deterministic value encoding (str/bytes/numbers/None
     and tuples thereof — everything the shard ring can route and a

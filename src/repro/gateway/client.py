@@ -230,8 +230,46 @@ class GatewayClient:
         )
         return [tuple(pt) for pt in doc["hull"]]
 
+    async def flush(self) -> None:
+        await self._checked("POST", "/v1/flush")
+
+    @staticmethod
+    def _keys_query(path: str, keys) -> str:
+        if keys is None:
+            return path
+        joined = ",".join(urllib.parse.quote(str(k), safe="") for k in keys)
+        return f"{path}?keys={joined}"
+
+    async def merged_hull(self, keys=None):
+        doc = await self._checked(
+            "GET", self._keys_query("/v1/merged_hull", keys)
+        )
+        return [tuple(pt) for pt in doc["hull"]]
+
+    async def diameter(self, keys=None) -> float:
+        path = self._keys_query("/v1/diameter", keys)
+        return (await self._checked("GET", path))["diameter"]
+
+    async def width(self, keys=None) -> float:
+        path = self._keys_query("/v1/width", keys)
+        return (await self._checked("GET", path))["width"]
+
+    async def summary_state(self, key: str) -> Optional[dict]:
+        """One key's summary state document (None when not live)."""
+        status, doc = await self.request(
+            "GET", f"/v1/summary/{urllib.parse.quote(str(key), safe='')}"
+        )
+        if status == 404:
+            return None
+        if status >= 400:
+            raise GatewayHTTPError(status, doc)
+        return doc["summary"]
+
     async def keys(self):
         return (await self._checked("GET", "/v1/keys"))["keys"]
+
+    async def late_drops(self) -> dict:
+        return (await self._checked("GET", "/v1/late_drops"))["late_drops"]
 
     async def stats(self) -> dict:
         return await self._checked("GET", "/v1/stats")
@@ -242,18 +280,28 @@ class GatewayClient:
         )
         return doc["expired"]
 
+    async def snapshot(self, path: Optional[str] = None):
+        """Admin: write a server-side snapshot file and return its path,
+        or (no ``path``) return the whole engine state inline."""
+        if path is None:
+            return (await self._checked("POST", "/v1/snapshot", {}))["state"]
+        doc = await self._checked("POST", "/v1/snapshot", {"path": str(path)})
+        return doc["path"]
+
+    async def resize(self, shards: int) -> dict:
+        """Admin: resize the sharded ring online; returns the event."""
+        doc = await self._checked(
+            "POST", "/v1/resize", {"shards": int(shards)}
+        )
+        return doc["resize"]
+
     async def metrics_text(self) -> str:
         return await self._checked("GET", "/metrics")
 
     async def subscribe(self, keys=None) -> GatewaySSEStream:
         """Open an SSE stream on its own connection (the keep-alive
         request connection stays usable for other verbs)."""
-        path = "/v1/subscribe"
-        if keys:
-            joined = ",".join(
-                urllib.parse.quote(str(k), safe="") for k in keys
-            )
-            path += f"?keys={joined}"
+        path = self._keys_query("/v1/subscribe", keys or None)
         reader, writer = await self._open()
         writer.write(self._head("GET", path, b"", sse=True))
         await writer.drain()

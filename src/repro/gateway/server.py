@@ -1,8 +1,8 @@
 """The multi-tenant HTTP/SSE front door over :class:`AsyncHullService`.
 
 :class:`HullGateway` binds a REST surface onto an already-started
-service facade and adds the tenancy layer the TCP server deliberately
-does not have:
+service facade — it is the package's one network front door — and adds
+a tenancy layer on top:
 
 * **auth** — every ``/v1`` verb demands ``Authorization: Bearer
   <token>``; tokens resolve through the constant-time
@@ -27,10 +27,18 @@ does not have:
 Verbs (all JSON unless noted)::
 
     POST   /v1/ingest             {"records": [[key,x,y(,ts)],...], "sync": bool}
+    POST   /v1/flush              barrier: everything enqueued is applied
     GET    /v1/hull/<key>         one key's hull vertices
+    GET    /v1/merged_hull[?keys=a,b]   union hull of the tenant's keys
+    GET    /v1/diameter[?keys=a,b]      ... its diameter
+    GET    /v1/width[?keys=a,b]         ... its width
+    GET    /v1/summary/<key>      one key's repro.streams.io summary state
     GET    /v1/keys               the tenant's live keys
+    GET    /v1/late_drops         per-key later-than-watermark drop counts
     GET    /v1/stats              tenant usage (admin token: global view)
     POST   /v1/advance_time      {"now": t}           (admin only)
+    POST   /v1/snapshot          {"path": p} or {}    (admin only)
+    POST   /v1/resize            {"shards": n}        (admin only)
     GET    /v1/subscribe[?keys=a,b]                   (SSE stream)
     GET    /v1/admin/tenants                          (admin only)
     POST   /v1/admin/tenants      tenant document     (admin only)
@@ -38,9 +46,12 @@ Verbs (all JSON unless noted)::
     GET    /metrics               Prometheus text     (unauthenticated)
     GET    /healthz               liveness            (unauthenticated)
 
-``advance_time`` is admin-only on purpose: the event clock is global
-to the engine, so one tenant advancing it would expire every other
-tenant's time windows.
+``advance_time``, ``snapshot`` and ``resize`` are admin-only on
+purpose: each acts on the whole engine (the event clock is global, so
+one tenant advancing it would expire every other tenant's time
+windows).  The extent folds (``merged_hull``/``diameter``/``width``)
+run over the caller's own live keys, or over the listed ones — always
+inside the caller's namespace.
 
 The server is plain stdlib asyncio — an HTTP/1.1 keep-alive loop per
 connection, one request in flight at a time (no pipelining), chunked
@@ -84,6 +95,16 @@ _REASONS = {
 
 #: Sentinel a handler returns after taking over the connection (SSE).
 _STREAMED = object()
+
+#: ``/v1/<verb>`` names that get their own metrics label.  A fixed set:
+#: client-controlled paths must never mint new label children.
+_VERBS = frozenset(
+    {
+        "ingest", "flush", "hull", "merged_hull", "diameter", "width",
+        "summary", "keys", "late_drops", "stats", "advance_time",
+        "snapshot", "resize", "subscribe",
+    }
+)
 
 
 class GatewayError(Exception):
@@ -131,6 +152,7 @@ class _TenantState:
     __slots__ = (
         "limiter",
         "keys",
+        "pending",
         "ingested_records",
         "ingested_bytes",
         "rejected",
@@ -140,6 +162,11 @@ class _TenantState:
     def __init__(self, tenant: Tenant, *, clock):
         self.limiter = TenantLimiter(tenant, clock=clock)
         self.keys: Set[str] = set()  # scoped live-key ledger
+        # Novel keys reserved by batches that passed the quota check but
+        # have not gone through the engine yet; every ledger refresh
+        # keeps them, or a refresh racing an in-flight batch would free
+        # its quota slot for a second batch.
+        self.pending: Set[str] = set()
         self.ingested_records = 0
         self.ingested_bytes = 0
         self.rejected: Dict[str, int] = {}
@@ -148,6 +175,12 @@ class _TenantState:
     def count_reject(self, tenant: Tenant, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
         OBS.GATEWAY_REJECTED.labels(tenant.id, reason).inc()
+
+    def refresh(self, tenant: Tenant, live) -> None:
+        """Re-derive the key ledger from the engine's live keys, keeping
+        in-flight reservations."""
+        self.keys = {k for k in live if tenant.owns(k)} | self.pending
+        OBS.GATEWAY_TENANT_KEYS.labels(tenant.id).set(len(self.keys))
 
 
 class HullGateway:
@@ -205,9 +238,7 @@ class HullGateway:
         # that already exist against the quota.
         live = await self.service.keys()
         for tenant in self.registry.tenants():
-            self._state(tenant).keys = {
-                k for k in live if tenant.owns(k)
-            }
+            self._state(tenant).refresh(tenant, live)
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port
         )
@@ -266,9 +297,7 @@ class HullGateway:
         live = await self.service.keys()
         late = await self.service.late_drops()
         for tenant in self.registry.tenants():
-            state = self._state(tenant)
-            state.keys = {k for k in live if tenant.owns(k)}
-            OBS.GATEWAY_TENANT_KEYS.labels(tenant.id).set(len(state.keys))
+            self._state(tenant).refresh(tenant, live)
             OBS.GATEWAY_LATE_DROPPED.labels(tenant.id).set(
                 sum(n for k, n in late.items() if tenant.owns(k))
             )
@@ -443,10 +472,7 @@ class HullGateway:
         if len(segs) >= 2 and segs[0] == "v1":
             if segs[1] == "admin":
                 return "admin_tenants"
-            if segs[1] in (
-                "ingest", "hull", "keys", "stats",
-                "advance_time", "subscribe",
-            ):
+            if segs[1] in _VERBS:
                 return segs[1]
         return "other"
 
@@ -487,6 +513,22 @@ class HullGateway:
             self._expect(method, "POST")
             self._require_admin(headers)
             return await self._h_advance_time(body)
+        if segs[1] == "snapshot" and len(segs) == 2:
+            self._expect(method, "POST")
+            self._require_admin(headers)
+            return await self._h_snapshot(body)
+        if segs[1] == "resize" and len(segs) == 2:
+            self._expect(method, "POST")
+            self._require_admin(headers)
+            return await self._h_resize(body)
+        if segs[1] == "flush" and len(segs) == 2:
+            # The barrier acts on the whole queue, like the admin
+            # verbs, but reveals nothing: any valid token may wait.
+            self._expect(method, "POST")
+            if not self.registry.is_admin(self._token(headers)):
+                self._require_tenant(headers)
+            await self.service.flush()
+            return 200, {"flushed": True}, ()
 
         if segs[1] == "stats" and len(segs) == 2:
             self._expect(method, "GET")
@@ -504,9 +546,18 @@ class HullGateway:
         if segs[1] == "hull" and len(segs) == 3:
             self._expect(method, "GET")
             return await self._h_hull(tenant, state, segs[2])
+        if segs[1] in ("merged_hull", "diameter", "width") and len(segs) == 2:
+            self._expect(method, "GET")
+            return await self._h_extent(tenant, segs[1], query)
+        if segs[1] == "summary" and len(segs) == 3:
+            self._expect(method, "GET")
+            return await self._h_summary(tenant, segs[2])
         if segs[1] == "keys" and len(segs) == 2:
             self._expect(method, "GET")
             return await self._h_keys(tenant, state)
+        if segs[1] == "late_drops" and len(segs) == 2:
+            self._expect(method, "GET")
+            return await self._h_late_drops(tenant)
         if segs[1] == "subscribe" and len(segs) == 2:
             self._expect(method, "GET")
             await self._h_subscribe(tenant, query, writer)
@@ -632,8 +683,11 @@ class HullGateway:
         # concurrent ingest on another connection must see them counted
         # against the quota, or two in-flight batches could each pass
         # the check above and collectively exceed max_keys.  The
-        # reservation is released if nothing reaches the engine.
+        # reservation lasts until the batch went through the engine
+        # (then the engine's own key set carries it) and is dropped
+        # from the ledger if nothing reaches the engine.
         state.keys.update(novel)
+        state.pending.update(novel)
 
         loop = asyncio.get_running_loop()
         applied = loop.create_future()
@@ -641,6 +695,7 @@ class HullGateway:
         def on_result(exc):
             # Runs on the event loop once this batch went through the
             # engine: attribute drain-time rejections to this tenant.
+            state.pending.difference_update(novel)
             if exc is not None:
                 state.keys.difference_update(novel)
                 state.count_reject(tenant, "engine")
@@ -655,10 +710,14 @@ class HullGateway:
                 ts=ts_list if ts_list else None,
                 on_result=on_result,
             )
-        except (ValueError, TypeError) as exc:
-            # Producer-side validation (shape, finiteness, ts-vs-window)
-            # failed before anything was enqueued.
+        except BaseException as exc:
+            # Nothing was enqueued (validation failed, or the service is
+            # closing): release the reservation.
+            state.pending.difference_update(novel)
             state.keys.difference_update(novel)
+            if not isinstance(exc, (ValueError, TypeError)):
+                raise
+            # Producer-side validation (shape, finiteness, ts-vs-window).
             state.count_reject(tenant, "bad_request")
             raise GatewayError(400, str(exc)) from exc
         if sync:
@@ -691,13 +750,45 @@ class HullGateway:
             (),
         )
 
+    async def _h_extent(self, tenant, what, query):
+        """One of the union-hull folds over the caller's own live keys,
+        or over the ``?keys=`` it lists (scoped, so a listed name can
+        never reach another tenant's stream)."""
+        keys = self._query_keys(tenant, query)
+        if keys is None:
+            keys = [k for k in await self.service.keys() if tenant.owns(k)]
+        if what == "merged_hull":
+            hull = await self.service.merged_hull(keys)
+            return (
+                200,
+                {
+                    "hull": [[float(x), float(y)] for x, y in hull],
+                    "count": len(hull),
+                },
+                (),
+            )
+        fold = getattr(self.service, what)  # diameter / width
+        return 200, {what: float(await fold(keys))}, ()
+
+    async def _h_summary(self, tenant, key):
+        doc = await self.service.summary_state(tenant.scope(key))
+        if doc is None:
+            raise GatewayError(404, f"unknown key {key!r}")
+        return 200, {"key": key, "summary": doc}, ()
+
     async def _h_keys(self, tenant, state):
         live = await self.service.keys()
-        owned = {k for k in live if tenant.owns(k)}
-        state.keys = owned  # ledger refresh
-        OBS.GATEWAY_TENANT_KEYS.labels(tenant.id).set(len(owned))
-        names = sorted(k[len(tenant.prefix):] for k in owned)
+        state.refresh(tenant, live)
+        names = sorted(k[len(tenant.prefix):] for k in live if tenant.owns(k))
         return 200, {"keys": names, "count": len(names)}, ()
+
+    async def _h_late_drops(self, tenant):
+        late = await self.service.late_drops()
+        prefix_len = len(tenant.prefix)
+        drops = {
+            k[prefix_len:]: int(n) for k, n in late.items() if tenant.owns(k)
+        }
+        return 200, {"late_drops": drops}, ()
 
     async def _h_stats(self, tenant, state):
         await self._refresh_ledgers()
@@ -756,6 +847,13 @@ class HullGateway:
                     t["ingested_bytes"] for t in tenants
                 ),
                 "late_dropped": sum(late.values()),
+                # The facade's own counters; the registry snapshot it
+                # also carries is what /metrics renders.
+                "service": {
+                    k: v
+                    for k, v in self.service.service_stats().items()
+                    if k != "obs"
+                },
             },
         }
         return 200, doc, ()
@@ -771,13 +869,42 @@ class HullGateway:
             raise GatewayError(400, str(exc)) from exc
         return 200, {"expired": int(expired)}, ()
 
-    async def _h_subscribe(self, tenant, query, writer):
+    async def _h_snapshot(self, body):
+        """Write a snapshot file server-side (``{"path": ...}``) or
+        return the whole engine state inline (empty body or ``{}``)."""
+        path = self._json_body(body).get("path") if body else None
+        if path is None:
+            return 200, {"state": await self.service.snapshot_state()}, ()
+        if not isinstance(path, str) or not path:
+            raise GatewayError(400, "'path' must be a non-empty string")
+        try:
+            written = await self.service.snapshot(path)
+        except OSError as exc:
+            raise GatewayError(400, f"snapshot failed: {exc}") from exc
+        return 200, {"path": str(written)}, ()
+
+    async def _h_resize(self, body):
+        shards = self._json_body(body).get("shards")
+        if isinstance(shards, bool) or not isinstance(shards, int):
+            raise GatewayError(400, "'shards' must be an integer")
+        try:
+            event = await self.service.resize(shards)
+        except ValueError as exc:
+            # An in-process engine, or a shard count the ring refuses.
+            raise GatewayError(400, str(exc)) from exc
+        return 200, {"resize": event}, ()
+
+    @staticmethod
+    def _query_keys(tenant, query) -> Optional[Set[str]]:
+        """The scoped keys a ``?keys=a,b`` query lists (None: no list)."""
         wanted: Optional[Set[str]] = None
         for part in query.get("keys", []):
             wanted = wanted or set()
-            wanted.update(
-                tenant.scope(k) for k in part.split(",") if k
-            )
+            wanted.update(tenant.scope(k) for k in part.split(",") if k)
+        return wanted
+
+    async def _h_subscribe(self, tenant, query, writer):
+        wanted = self._query_keys(tenant, query)
         if wanted is None:
             key_filter = tenant.owns
         else:

@@ -133,17 +133,10 @@ TRANSPORT_BYTES = Counter(
     "Payload bytes moved across shard pipes, by direction.",
     ("dir",),
 )
-TRANSPORT_SHM_MESSAGES = Counter(
-    "repro_transport_shm_messages_total",
-    "Messages escalated to the shared-memory ring, by direction.",
-    ("dir",),
-)
 TRANSPORT_FRAMES_SEND = TRANSPORT_FRAMES.labels("send")
 TRANSPORT_FRAMES_RECV = TRANSPORT_FRAMES.labels("recv")
 TRANSPORT_BYTES_SEND = TRANSPORT_BYTES.labels("send")
 TRANSPORT_BYTES_RECV = TRANSPORT_BYTES.labels("recv")
-TRANSPORT_SHM_SEND = TRANSPORT_SHM_MESSAGES.labels("send")
-TRANSPORT_SHM_RECV = TRANSPORT_SHM_MESSAGES.labels("recv")
 
 # -- worker-push partial cache (incremented worker-side) -------------------
 
@@ -170,18 +163,9 @@ SERVE_QUEUE_DEPTH = Gauge(
     "repro_serve_queue_depth",
     "Batches waiting in the service ingest queue (refreshed at stats()).",
 )
-SERVE_CONNECTIONS = Gauge(
-    "repro_serve_connections",
-    "Open NDJSON client connections.",
-)
 SERVE_SUBSCRIBERS = Gauge(
     "repro_serve_subscribers",
     "Active subscription feeds.",
-)
-SERVE_VERB_SECONDS = Histogram(
-    "repro_serve_verb_seconds",
-    "Server-side latency per NDJSON verb.",
-    ("verb",),
 )
 
 # -- durability (repro.durable) --------------------------------------------

@@ -13,39 +13,29 @@ sharded, windowed or not):
   event loop responsive; a periodic ``advance_time`` ticker for
   time-windowed configs; per-subscriber asyncio push queues bridging
   the engines' standing queries; graceful drain + final snapshot.
-* :class:`HullServer` — a newline-delimited-JSON TCP front end
-  (``asyncio.start_server``) speaking ingest / query / subscribe /
-  snapshot verbs.
-* :class:`AsyncHullClient` — the matching client; floats round-trip
-  JSON exactly, so remote results are bit-identical to local ones.
+
+The network front door over the facade is :mod:`repro.gateway` (HTTP
++ SSE, with per-tenant auth, namespaces, quotas and rate limits).
 
 Quickstart::
 
     import asyncio
     from repro import AdaptiveHull, StreamEngine, WindowConfig
-    from repro.serve import AsyncHullService, HullServer
+    from repro.serve import AsyncHullService
 
     async def main():
         engine = StreamEngine(lambda: AdaptiveHull(32),
                               window=WindowConfig(horizon=300.0))
         async with AsyncHullService(engine, own_engine=True) as service:
-            async with HullServer(service, port=8765) as server:
-                await server.serve_forever()
+            await service.ingest([("sensor", 0.0, 0.0, 1.0)])
+            await service.flush()
+            print(await service.hull("sensor"))
 
     asyncio.run(main())
 
-Or from the command line: ``python -m repro serve run --port 8765``.
+Over the network: ``python -m repro gateway --tenants tenants.json``.
 """
 
-from .client import AsyncHullClient, RemoteEngineError, RemoteSubscription
-from .server import HullServer
 from .service import AsyncHullService, AsyncSubscription
 
-__all__ = [
-    "AsyncHullService",
-    "AsyncSubscription",
-    "HullServer",
-    "AsyncHullClient",
-    "RemoteEngineError",
-    "RemoteSubscription",
-]
+__all__ = ["AsyncHullService", "AsyncSubscription"]

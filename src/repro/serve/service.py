@@ -595,8 +595,8 @@ class AsyncHullService:
 
     async def summary_state(self, key: Hashable) -> Optional[dict]:
         """One key's summary as a :mod:`repro.streams.io` state doc
-        (None when the key is not live) — the per-key fetch the TCP
-        ``summary_state`` verb serves, without creating the key."""
+        (None when the key is not live) — the per-key fetch the gateway's
+        ``/v1/summary/<key>`` verb serves, without creating the key."""
         from ..streams.io import summary_state as _summary_state
 
         def fetch():

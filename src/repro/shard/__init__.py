@@ -14,9 +14,8 @@ reduce per-subsystem streams into one global result:
   so factories can cross process boundaries;
 * :mod:`~repro.shard.transport` — the zero-copy wire layer: batch
   slices cross the worker pipes as raw length-prefixed NumPy buffer
-  frames (``frames``), optionally via a shared-memory double-buffer
-  ring for large slices (``shm``), with the legacy pickled-message
-  path (``pickle``) kept as a measurable baseline;
+  frames (:class:`~repro.shard.transport.FramePipe`, the one pipe
+  protocol; the write-ahead and dead-letter logs reuse its codec);
 * :func:`~repro.shard.worker.shard_worker_main` — one
   :class:`~repro.engine.StreamEngine` per worker process, spoken to
   over a framed pipe in the :mod:`repro.streams.io` snapshot format,
@@ -42,7 +41,7 @@ from ..core.base import tree_merge
 from .engine import ShardedEngine, ShardError, ShardStats
 from .hashing import HashRing, stable_key_token
 from .spec import SummarySpec
-from .transport import TRANSPORTS, TransportError, shm_available
+from .transport import TransportError
 
 __all__ = [
     "ShardedEngine",
@@ -52,7 +51,5 @@ __all__ = [
     "SummarySpec",
     "stable_key_token",
     "tree_merge",
-    "TRANSPORTS",
     "TransportError",
-    "shm_available",
 ]

@@ -79,12 +79,7 @@ from ..streams.io import summary_from_state
 from ..window import WindowConfig, windowed_factory
 from .hashing import HashRing
 from .spec import SummarySpec
-from .transport import (
-    TRANSPORTS,
-    TransportError,
-    make_parent_pipe,
-    shm_available,
-)
+from .transport import FramePipe, TransportError
 from .worker import shard_worker_main
 
 __all__ = ["ShardedEngine", "ShardStats", "ShardError"]
@@ -197,12 +192,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             slice so the workers' reorder buffers release at one
             deterministic cut (per-key results stay bit-identical to
             a single engine fed the same arrivals).
-        transport: the pipe protocol — ``"frames"`` (default,
-            zero-copy raw-frame messaging), ``"shm"`` (frames plus a
-            shared-memory double-buffer ring for large batch slices),
-            or ``"pickle"`` (the legacy one-pickle-per-message
-            baseline).  Results are bit-identical across transports;
-            only the wire cost differs.
         worker_push: enable worker-push partial reductions — once a
             global query has been seen, each worker folds its shard-
             level partial during ingest idle time, so
@@ -241,7 +230,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         max_streams: Optional[int] = None,
         start_method: Optional[str] = None,
         window=None,
-        transport: str = "frames",
         worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
@@ -251,17 +239,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             raise ValueError("ShardedEngine needs at least one shard")
         if standbys < 0:
             raise ValueError("standbys must be >= 0")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(known: {', '.join(TRANSPORTS)})"
-            )
-        if transport == "shm" and not shm_available():
-            raise ValueError(
-                "the shm transport needs multiprocessing.shared_memory, "
-                "which this platform lacks — use transport='frames'"
-            )
-        self.transport = transport
         self.worker_push = bool(worker_push)
         self.spec = SummarySpec.coerce(spec)
         self.window = WindowConfig.coerce(window)
@@ -376,7 +353,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
                 self.spec,
                 self._max_streams,
                 self._worker_window,
-                self.transport,
                 self.worker_push,
             ),
             name=name,
@@ -384,9 +360,7 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         )
         proc.start()
         child_conn.close()  # parent keeps only its end: EOF propagates
-        return _Lane(
-            parent_conn, make_parent_pipe(parent_conn, self.transport), proc
-        )
+        return _Lane(parent_conn, FramePipe(parent_conn), proc)
 
     def _sync_primary_views(self) -> None:
         """Refresh the primary-lane mirrors after promotion or resize.
@@ -446,8 +420,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
                     lane.pipe.recv()
             except (EOFError, OSError, TransportError):
                 pass
-            # Closes the connection and releases any shared-memory
-            # segments the transport owns.
             lane.pipe.close()
         for lane in lanes:
             lane.proc.join(timeout=5.0)
@@ -1273,7 +1245,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         replicas: Optional[int] = None,
         max_streams: Optional[int] = None,
         start_method: Optional[str] = None,
-        transport: str = "frames",
         worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
@@ -1312,7 +1283,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             max_streams=max_streams,
             start_method=start_method,
             window=window,
-            transport=transport,
             worker_push=worker_push,
             on_late=on_late,
             standbys=standbys,
@@ -1369,7 +1339,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         replicas: Optional[int] = None,
         max_streams: Optional[int] = None,
         start_method: Optional[str] = None,
-        transport: str = "frames",
         worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
@@ -1384,7 +1353,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             replicas=replicas,
             max_streams=max_streams,
             start_method=start_method,
-            transport=transport,
             worker_push=worker_push,
             on_late=on_late,
             standbys=standbys,

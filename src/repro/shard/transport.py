@@ -12,24 +12,12 @@ a length-prefixed raw-frame protocol:
   leaving a tiny placeholder (index + dtype string + shape) behind; the
   remaining skeleton (op names, keys lists, snapshot docs, scalars) is
   pickled, but it is small — the bulk data never touches pickle.
-* **Frames mode** (:class:`FramePipe`): the header frame (magic, buffer
+* **Frames** (:class:`FramePipe`): the header frame (magic, buffer
   count, per-buffer byte lengths, skeleton) is followed by one raw
   frame per buffer, each written straight from the array's memory via
   ``Connection.send_bytes`` — no parent-side copy.  The receiver
   validates every declared length before trusting it and rebuilds
   arrays as zero-copy ``np.frombuffer`` views over the received bytes.
-* **Shared-memory mode** (:class:`ShmFramePipe`): for large slices the
-  sender instead memcpy's the buffers into a double-buffered
-  :mod:`multiprocessing.shared_memory` ring (two segments per pipe,
-  used alternately, grown on demand) and the header carries only the
-  segment name and offsets; the receiver attaches once per segment
-  (cached) and copies its slices out.  The two segments alternate so a
-  segment is never rewritten until the message after the message it
-  carried has been acknowledged — with the shard protocol's strict
-  request/reply discipline the reader is always done with segment A
-  before the writer returns to it.
-* **Pickle mode** (:class:`PicklePipe`): the legacy ``send``/``recv``
-  path, kept as the A/B baseline for ``--transport pickle``.
 
 Decoding is *defensive*: a frame that is truncated, oversized, declares
 an impossible dtype/shape, or is plain garbage raises
@@ -46,45 +34,28 @@ network peers as-is.
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
 import struct
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
-
-try:  # gate, not require: some platforms lack POSIX shared memory
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic platform
-    _shared_memory = None
 
 from ..obs import metrics as _obs
 
 __all__ = [
     "TransportError",
-    "TRANSPORTS",
     "extract_arrays",
     "restore_arrays",
     "dumps",
     "loads",
-    "PicklePipe",
     "FramePipe",
-    "ShmFramePipe",
-    "make_parent_pipe",
-    "make_worker_pipe",
-    "shm_available",
 ]
-
-#: Supported transport modes for :class:`~repro.shard.ShardedEngine`.
-TRANSPORTS = ("pickle", "frames", "shm")
 
 MAGIC = b"RSF1"  # repro shard frames, wire format v1
 
-#: Header mode byte: payload buffers follow as inline frames.
+#: Header mode byte: payload buffers follow as inline frames (the only
+#: mode; the byte stays so WAL and dead-letter frames keep their layout).
 _MODE_INLINE = 0
-#: Header mode byte: payload buffers live in a shared-memory segment.
-_MODE_SHM = 1
 
 #: Hard ceiling on a single buffer / skeleton (decoder rejects above).
 MAX_FRAME_BYTES = 1 << 31
@@ -93,43 +64,12 @@ MAX_BUFFERS = 256
 #: Dimensions above this are certainly garbage, not geometry.
 _MAX_NDIM = 32
 
-#: Buffer bytes below which :class:`ShmFramePipe` sends inline frames
-#: anyway (the memcpy + attach bookkeeping only pays off for big slices).
-SHM_THRESHOLD = 1 << 16
-#: Initial shared-memory segment capacity.
-_SHM_MIN_SEGMENT = 1 << 20
-#: Buffer start alignment inside a shared-memory segment.
-_SHM_ALIGN = 64
-
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-
-_shm_counter = itertools.count()
-
-#: Segment names created (and therefore unlinked) by this process —
-#: lets a same-process receiver tell loopback segments from a remote
-#: sender's (see the resource-tracker note in ``FramePipe._read_shm``).
-_owned_segments: set = set()
-
-
-def _untrack_shm(name: str) -> None:
-    """Drop an *attached* segment from this process's resource tracker
-    (best-effort; the registration APIs are internal)."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:  # pragma: no cover - interpreter-internal API
-        pass
 
 
 class TransportError(RuntimeError):
     """A malformed, truncated, oversized, or desynchronised frame."""
-
-
-def shm_available() -> bool:
-    """Whether the shared-memory transport can run on this platform."""
-    return _shared_memory is not None
 
 
 # -- structure <-> (skeleton, buffers) -----------------------------------
@@ -259,25 +199,10 @@ def _loads_skeleton(data: bytes) -> Any:
 # -- header codec --------------------------------------------------------
 
 
-def _build_header(
-    skel_bytes: bytes,
-    sizes: Sequence[int],
-    shm: Optional[Tuple[str, Sequence[int]]] = None,
-) -> bytes:
-    """One header frame: magic, mode, buffer lengths, optional shm
-    descriptor (segment name + per-buffer offsets), skeleton."""
-    parts = [
-        MAGIC,
-        bytes([_MODE_SHM if shm is not None else _MODE_INLINE]),
-        _U32.pack(len(sizes)),
-    ]
+def _build_header(skel_bytes: bytes, sizes: Sequence[int]) -> bytes:
+    """One header frame: magic, mode, buffer lengths, skeleton."""
+    parts = [MAGIC, bytes([_MODE_INLINE]), _U32.pack(len(sizes))]
     parts += [_U64.pack(n) for n in sizes]
-    if shm is not None:
-        name, offsets = shm
-        name_b = name.encode("ascii")
-        parts.append(_U32.pack(len(name_b)))
-        parts.append(name_b)
-        parts += [_U64.pack(off) for off in offsets]
     parts.append(_U64.pack(len(skel_bytes)))
     parts.append(skel_bytes)
     return b"".join(parts)
@@ -319,16 +244,15 @@ def _parse_header(
 ):
     """Parse one header frame.
 
-    Returns ``(skeleton_bytes, sizes, shm_desc)`` where ``shm_desc`` is
-    None for inline payload frames or ``(segment_name, offsets)``.
-    The cursor is *not* required to be exhausted — :func:`loads` checks
-    that separately because its payload follows in the same buffer.
+    Returns ``(skeleton_bytes, sizes, reader)``.  The cursor is *not*
+    required to be exhausted — :func:`loads` checks that separately
+    because its payload follows in the same buffer.
     """
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise TransportError("bad magic: not a shard frame")
     mode = r.take(1)[0]
-    if mode not in (_MODE_INLINE, _MODE_SHM):
+    if mode != _MODE_INLINE:
         raise TransportError(f"unknown frame mode {mode}")
     nbuf = r.u32()
     if nbuf > max_buffers:
@@ -337,25 +261,25 @@ def _parse_header(
     for n in sizes:
         if n > max_bytes:
             raise TransportError(f"buffer of {n} bytes exceeds limit")
-    shm_desc = None
-    if mode == _MODE_SHM:
-        name_len = r.u32()
-        if name_len > 255:
-            raise TransportError(f"shm name of {name_len} bytes")
-        try:
-            name = r.take(name_len).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise TransportError("undecodable shm segment name") from exc
-        offsets = [r.u64() for _ in range(nbuf)]
-        shm_desc = (name, offsets)
     skel_len = r.u64()
     if skel_len > max_bytes:
         raise TransportError(f"skeleton of {skel_len} bytes exceeds limit")
     skel = r.take(skel_len)
-    return skel, sizes, shm_desc, r
+    return skel, sizes, r
 
 
 # -- byte-level codec (single buffer; the property-test surface) ---------
+
+
+def _encode(msg: Any) -> Tuple[bytes, List[np.ndarray]]:
+    """One message as its header frame plus the lifted arrays."""
+    skeleton, arrays = extract_arrays(msg)
+    if len(arrays) > MAX_BUFFERS:
+        raise TransportError(
+            f"{len(arrays)} buffers exceeds limit {MAX_BUFFERS}"
+        )
+    skel_bytes = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
+    return _build_header(skel_bytes, [a.nbytes for a in arrays]), arrays
 
 
 def dumps(msg: Any) -> bytes:
@@ -364,13 +288,7 @@ def dumps(msg: Any) -> bytes:
     same header but ship payload as separate zero-copy frames; this
     single-buffer form exists for tests and for callers that want the
     codec without a :class:`~multiprocessing.connection.Connection`."""
-    skeleton, arrays = extract_arrays(msg)
-    if len(arrays) > MAX_BUFFERS:
-        raise TransportError(
-            f"{len(arrays)} buffers exceeds limit {MAX_BUFFERS}"
-        )
-    skel_bytes = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
-    head = _build_header(skel_bytes, [a.nbytes for a in arrays])
+    head, arrays = _encode(msg)
     return head + b"".join(a.tobytes() for a in arrays)
 
 
@@ -387,11 +305,9 @@ def loads(
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TransportError("frame must be a bytes-like object")
-    skel, sizes, shm_desc, reader = _parse_header(
+    skel, sizes, reader = _parse_header(
         bytes(data), max_buffers=max_buffers, max_bytes=max_bytes
     )
-    if shm_desc is not None:
-        raise TransportError("shm frames cannot be decoded from bytes")
     buffers = [reader.take(n) for n in sizes]
     reader.done()
     return restore_arrays(_loads_skeleton(skel), buffers)
@@ -400,58 +316,15 @@ def loads(
 # -- connection pipes ----------------------------------------------------
 
 
-class PicklePipe:
-    """The legacy transport: one pickle per message via
-    ``Connection.send`` — kept as the measurable A/B baseline."""
-
-    mode = "pickle"
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def send(self, msg: Any) -> None:
-        self.conn.send(msg)
-
-    def recv(self) -> Any:
-        return self.conn.recv()
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self.conn.poll(timeout)
-
-    def close(self) -> None:
-        self.conn.close()
-
-
 class FramePipe:
-    """Raw-frame transport over a :class:`Connection`.
-
-    Sends one header frame plus one zero-copy frame per lifted array;
-    receives either form — inline frames or a shared-memory descriptor
-    (so a worker on the frames transport can still read a parent that
-    escalated a large slice to shared memory)."""
-
-    mode = "frames"
-
-    #: Attached-segment cache bound (receiver side).
-    _ATTACH_CACHE = 8
+    """Raw-frame transport over a :class:`Connection`: one header frame
+    plus one zero-copy frame per lifted array, in both directions."""
 
     def __init__(self, conn):
         self.conn = conn
-        self._attached: dict = {}
-
-    # - sending -
 
     def send(self, msg: Any) -> None:
-        skeleton, arrays = extract_arrays(msg)
-        self._send_frames(skeleton, arrays)
-
-    def _send_frames(self, skeleton, arrays: List[np.ndarray]) -> None:
-        if len(arrays) > MAX_BUFFERS:
-            raise TransportError(
-                f"{len(arrays)} buffers exceeds limit {MAX_BUFFERS}"
-            )
-        skel_bytes = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _build_header(skel_bytes, [a.nbytes for a in arrays])
+        header, arrays = _encode(msg)
         self.conn.send_bytes(header)
         for a in arrays:
             # send_bytes accepts any buffer — the array's own memory
@@ -462,201 +335,29 @@ class FramePipe:
             len(header) + sum(a.nbytes for a in arrays)
         )
 
-    # - receiving -
-
     def recv(self) -> Any:
         head = self.conn.recv_bytes()
-        skel, sizes, shm_desc, reader = _parse_header(head)
+        skel, sizes, reader = _parse_header(head)
         reader.done()
-        if shm_desc is None:
-            buffers = []
-            for n in sizes:
-                try:
-                    buf = self.conn.recv_bytes(maxlength=max(n, 1))
-                except OSError as exc:
-                    raise TransportError(
-                        f"payload frame exceeded declared {n} bytes"
-                    ) from exc
-                if len(buf) != n:
-                    raise TransportError(
-                        f"payload frame of {len(buf)} bytes, declared {n}"
-                    )
-                buffers.append(buf)
-        else:
-            buffers = self._read_shm(shm_desc, sizes)
-            _obs.TRANSPORT_SHM_RECV.inc()
-        _obs.TRANSPORT_FRAMES_RECV.inc(
-            1 + (len(sizes) if shm_desc is None else 0)
-        )
+        buffers = []
+        for n in sizes:
+            try:
+                buf = self.conn.recv_bytes(maxlength=max(n, 1))
+            except OSError as exc:
+                raise TransportError(
+                    f"payload frame exceeded declared {n} bytes"
+                ) from exc
+            if len(buf) != n:
+                raise TransportError(
+                    f"payload frame of {len(buf)} bytes, declared {n}"
+                )
+            buffers.append(buf)
+        _obs.TRANSPORT_FRAMES_RECV.inc(1 + len(sizes))
         _obs.TRANSPORT_BYTES_RECV.inc(len(head) + sum(sizes))
         return restore_arrays(_loads_skeleton(skel), buffers)
-
-    def _read_shm(self, shm_desc, sizes) -> List[bytes]:
-        """Copy the declared slices out of the named segment.  Copies —
-        not views — because the sender's double buffer will rewrite the
-        segment two messages from now."""
-        if _shared_memory is None:  # pragma: no cover - platform gate
-            raise TransportError("shared memory unavailable on this platform")
-        name, offsets = shm_desc
-        seg = self._attached.get(name)
-        if seg is None:
-            try:
-                seg = _shared_memory.SharedMemory(name=name)
-            except (FileNotFoundError, OSError) as exc:
-                raise TransportError(
-                    f"shm segment {name!r} not attachable: {exc}"
-                ) from exc
-            if name not in _owned_segments:
-                # Pre-3.13 attaching registers the segment with this
-                # process's resource tracker just like creating it —
-                # and a forked worker lazily starts its *own* tracker,
-                # which would then try to unlink segments the parent
-                # still owns at worker exit.  The sender's deterministic
-                # unlink in close() is the single cleanup authority, so
-                # drop the attach-side registration.  (Skipped when this
-                # very process created the segment — the loopback case —
-                # where unregistering would strip the creator's entry.)
-                _untrack_shm(name)
-            if len(self._attached) >= self._ATTACH_CACHE:
-                # The sender retired an old segment; drop the stalest
-                # handle (insertion order — segments retire in order).
-                oldest = next(iter(self._attached))
-                self._attached.pop(oldest).close()
-            self._attached[name] = seg
-        out = []
-        for off, n in zip(offsets, sizes):
-            if off + n > seg.size:
-                raise TransportError(
-                    f"shm slice [{off}:{off + n}] exceeds segment "
-                    f"size {seg.size}"
-                )
-            out.append(bytes(seg.buf[off : off + n]))
-        return out
-
-    # - misc -
 
     def poll(self, timeout: float = 0.0) -> bool:
         return self.conn.poll(timeout)
 
     def close(self) -> None:
-        for seg in self._attached.values():
-            try:
-                seg.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
-        self._attached.clear()
         self.conn.close()
-
-
-class ShmFramePipe(FramePipe):
-    """Sender-side escalation of :class:`FramePipe`: messages whose
-    lifted buffers total at least :data:`SHM_THRESHOLD` bytes go
-    through a double-buffered shared-memory ring instead of inline
-    frames.  Small messages (acks, queries, stop) stay inline."""
-
-    mode = "shm"
-
-    def __init__(self, conn, *, threshold: int = SHM_THRESHOLD):
-        if _shared_memory is None:
-            raise ValueError(
-                "the shm transport needs multiprocessing.shared_memory"
-            )
-        super().__init__(conn)
-        self.threshold = threshold
-        self._segments: List[Optional[object]] = [None, None]
-        self._turn = 0
-
-    def send(self, msg: Any) -> None:
-        skeleton, arrays = extract_arrays(msg)
-        total = sum(a.nbytes for a in arrays)
-        if total < self.threshold:
-            self._send_frames(skeleton, arrays)
-            return
-        if len(arrays) > MAX_BUFFERS:
-            raise TransportError(
-                f"{len(arrays)} buffers exceeds limit {MAX_BUFFERS}"
-            )
-        seg, offsets = self._place(arrays)
-        skel_bytes = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _build_header(
-            skel_bytes,
-            [a.nbytes for a in arrays],
-            shm=(seg.name, offsets),
-        )
-        self.conn.send_bytes(header)
-        _obs.TRANSPORT_SHM_SEND.inc()
-        _obs.TRANSPORT_FRAMES_SEND.inc()
-        _obs.TRANSPORT_BYTES_SEND.inc(len(header) + total)
-
-    def _place(self, arrays: List[np.ndarray]):
-        """Copy the buffers into the next ring segment (aligned),
-        growing the segment when the batch outgrew it."""
-        need = sum(
-            (a.nbytes + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-            for a in arrays
-        )
-        idx = self._turn
-        self._turn ^= 1
-        seg = self._segments[idx]
-        if seg is None or seg.size < need:
-            if seg is not None:
-                seg.close()
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-                _owned_segments.discard(seg.name)
-            cap = max(_SHM_MIN_SEGMENT, need)
-            seg = _shared_memory.SharedMemory(
-                create=True,
-                size=cap,
-                name=f"repro-shard-{os.getpid()}-{next(_shm_counter)}",
-            )
-            _owned_segments.add(seg.name)
-            self._segments[idx] = seg
-        offsets = []
-        view = np.frombuffer(seg.buf, dtype=np.uint8)
-        off = 0
-        for a in arrays:
-            offsets.append(off)
-            if a.nbytes:
-                view[off : off + a.nbytes] = np.frombuffer(
-                    memoryview(a).cast("B"), dtype=np.uint8
-                )
-            off += (a.nbytes + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-        del view  # release the exported buffer before any future unlink
-        return seg, offsets
-
-    def close(self) -> None:
-        for seg in self._segments:
-            if seg is not None:
-                try:
-                    seg.close()
-                    seg.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
-                _owned_segments.discard(seg.name)
-        self._segments = [None, None]
-        super().close()
-
-
-def make_parent_pipe(conn, transport: str):
-    """The parent's side of a worker pipe for a transport mode."""
-    if transport == "pickle":
-        return PicklePipe(conn)
-    if transport == "frames":
-        return FramePipe(conn)
-    if transport == "shm":
-        return ShmFramePipe(conn)
-    raise ValueError(
-        f"unknown transport {transport!r} (known: {', '.join(TRANSPORTS)})"
-    )
-
-
-def make_worker_pipe(conn, transport: str):
-    """The worker's side: replies are small, so workers always answer
-    with inline frames; a :class:`FramePipe` receiver already
-    understands the parent's shm-escalated slices."""
-    if transport == "pickle":
-        return PicklePipe(conn)
-    return FramePipe(conn)

@@ -9,14 +9,11 @@ pipe: every message is a ``(op, *args)`` tuple, every reply is
 transport layer (:mod:`repro.shard.transport`): a header frame (magic,
 buffer lengths, pickled skeleton of the small structural parts) is
 followed by one raw length-prefixed frame per NumPy buffer — batch
-slices arrive as ``np.frombuffer`` views over the received bytes, and
-on the ``shm`` transport large slices arrive via a named shared-memory
-segment referenced from the header instead.  Replies travel the same
-framed format (summary payloads use the :mod:`repro.streams.io`
-snapshot documents — the same JSON-compatible form the on-disk
-checkpoints use, so the IPC layer adds no second serialisation story).
-``transport="pickle"`` falls back to the legacy one-pickle-per-message
-``Connection.send`` path, kept as the measurable baseline.
+slices arrive as ``np.frombuffer`` views over the received bytes.
+Replies travel the same framed format (summary payloads use the
+:mod:`repro.streams.io` snapshot documents — the same JSON-compatible
+form the on-disk checkpoints use, so the IPC layer adds no second
+serialisation story).
 
 **Worker-push partial reductions.**  Besides answering requests, the
 worker maintains a *shard-level partial*: the canonical-order fold of
@@ -56,7 +53,7 @@ from ..obs.trace import resume as trace_resume
 from ..obs.trace import span as trace_span
 from ..streams.io import summary_from_state, summary_state
 from .spec import SummarySpec
-from .transport import TransportError, make_worker_pipe
+from .transport import FramePipe, TransportError
 
 __all__ = ["shard_worker_main"]
 
@@ -225,7 +222,6 @@ def shard_worker_main(
     spec: SummarySpec,
     max_streams: Optional[int] = None,
     window=None,
-    transport: str = "frames",
     push: bool = True,
 ) -> None:
     """Worker process entry point: serve requests until ``stop`` or EOF.
@@ -237,11 +233,10 @@ def shard_worker_main(
     than guess at frame boundaries.  An EOF on the pipe (parent died or
     closed) shuts the worker down cleanly.  ``window`` (a
     :class:`~repro.window.WindowConfig`) makes this shard's engine
-    windowed, exactly like the parent's config; ``transport`` selects
-    the pipe protocol (``frames``/``shm``/``pickle``); ``push`` enables
-    the idle-time partial reductions.
+    windowed, exactly like the parent's config; ``push`` enables the
+    idle-time partial reductions.
     """
-    pipe = make_worker_pipe(conn, transport)
+    pipe = FramePipe(conn)
     # On fork start methods the child inherits the parent's metric
     # counts; zero them so this worker's registry describes only its
     # own work (the parent merges worker snapshots back via ``stats``).

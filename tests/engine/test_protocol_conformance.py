@@ -20,7 +20,6 @@ from repro.core import AdaptiveHull
 from repro.engine import EngineProtocol, PROTOCOL_MEMBERS, StreamEngine
 from repro.experiments.metrics import hull_distance
 from repro.shard import ShardedEngine, SummarySpec
-from repro.shard.transport import shm_available
 from repro.streams import bounded_shuffle, drifting_clusters_stream
 from repro.window import WindowConfig
 
@@ -39,23 +38,18 @@ WINDOWS = {
 
 TIERS = ["stream", "sharded"]
 
-#: Every wire protocol the sharded tier speaks; the whole behavioural
-#: contract must hold bit-identically on each.
-TRANSPORT_MATRIX = ["pickle", "frames"] + (
-    ["shm"] if shm_available() else []
-)
+#: The wire protocol the sharded tier speaks (frames is the only one);
+#: it names the arm in each sharded test id.
+TRANSPORT_MATRIX = ["frames"]
 
 
-def make_engine(
-    tier, window, shards=2, transport="frames", worker_push=True
-):
+def make_engine(tier, window, shards=2, worker_push=True):
     if tier == "stream":
         return StreamEngine(lambda: AdaptiveHull(R), window=window)
     return ShardedEngine(
         SummarySpec("AdaptiveHull", {"r": R}),
         shards=shards,
         window=window,
-        transport=transport,
         worker_push=worker_push,
     )
 
@@ -279,18 +273,18 @@ def test_snapshot_state_roundtrip_both_tiers(mode):
                 assert restored.hull(k) == b.hull(k)
 
 
-# -- transport matrix: every wire protocol, bit-identical ----------------
+# -- transport matrix: the frames wire, bit-identical --------------------
 
 
 @pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
 @pytest.mark.parametrize("mode", list(WINDOWS))
 def test_transport_matrix_identical_results(mode, transport):
-    """The full conformance workload, per transport: per-key results
-    and counters must not depend on how the bytes cross the pipe."""
+    """The full conformance workload over the shard pipes: per-key
+    results and counters must not depend on how the bytes cross them."""
     window = WINDOWS[mode]
     timed = window is not None and window.timed
     with make_engine("stream", window) as a, make_engine(
-        "sharded", window, transport=transport
+        "sharded", window
     ) as b:
         feed(a, timed)
         feed(b, timed)
@@ -316,7 +310,7 @@ def test_event_time_shuffle_bit_identical(transport):
     with StreamEngine(
         lambda: AdaptiveHull(R), window=window
     ) as a, make_engine(
-        "sharded", window, transport=transport
+        "sharded", window
     ) as b, StreamEngine(
         lambda: AdaptiveHull(R), window=window
     ) as sorted_ref:
@@ -388,15 +382,14 @@ def test_worker_push_selection_queries_never_use_partials():
 
 @pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
 def test_snapshot_restore_across_transports(transport):
-    """A ring snapshotted on one transport restores on any other with
-    identical per-key state (the snapshot format is transport-blind)."""
-    with make_engine("sharded", None, transport="frames") as b:
+    """A ring snapshot restores onto a fresh ring (worker push off)
+    with identical per-key state."""
+    with make_engine("sharded", None) as b:
         feed(b, False)
         doc = b.snapshot_state()
         with ShardedEngine.from_snapshot_state(
-            doc, transport=transport, worker_push=False
+            doc, worker_push=False
         ) as restored:
-            assert restored.transport == transport
             assert sorted(restored.keys()) == sorted(b.keys())
             for k in b.keys():
                 assert restored.hull(k) == b.hull(k)

@@ -54,8 +54,9 @@ async def shared_gateway(engine):
                     await c.aclose()
 
 
-def reference_hulls(records, *, window=None, ts=None):
-    """Per-tenant private engines fed the identical subsequences."""
+def reference_hulls(records, *, window=None, ts=None, merged=None):
+    """Per-tenant private engines fed the identical subsequences.  When
+    ``merged`` is a dict, each tenant's union hull lands there too."""
     out = {}
     for tenant in TENANTS:
         mine = [
@@ -70,6 +71,8 @@ def reference_hulls(records, *, window=None, ts=None):
             out[tenant] = {
                 key: ref.hull(key) for key in ref.keys()
             }
+            if merged is not None:
+                merged[tenant] = ref.merged_hull()
     return out
 
 
@@ -92,7 +95,8 @@ class TestInterleavedParity:
     @settings(max_examples=10, deadline=None)
     def test_two_tenants_match_private_engines(self, records):
         async def main():
-            expected = reference_hulls(records)
+            merged = {}
+            expected = reference_hulls(records, merged=merged)
             engine = StreamEngine(lambda: AdaptiveHull(R))
             async with shared_gateway(engine) as (gw, clients):
                 # Feed the interleaving faithfully: one request per
@@ -111,6 +115,12 @@ class TestInterleavedParity:
                             (float(x), float(y))
                             for x, y in expected[tenant][key]
                         ], (tenant, key)
+                    # The union fold over the tenant's own keys is the
+                    # private engine's fold (the namespace prefix keeps
+                    # the canonical key order).
+                    assert await clients[tenant].merged_hull() == [
+                        (float(x), float(y)) for x, y in merged[tenant]
+                    ], tenant
 
         asyncio.run(main())
 
@@ -136,10 +146,15 @@ class TestInterleavedParity:
                     # A key only the OTHER tenant populated is 404
                     # here, never the other tenant's data.
                     for key in mine[other] - mine[tenant]:
-                        status, _ = await clients[tenant].request(
-                            "GET", f"/v1/hull/{key}"
-                        )
-                        assert status == 404
+                        for path in ("/v1/hull/", "/v1/summary/"):
+                            status, _ = await clients[tenant].request(
+                                "GET", f"{path}{key}"
+                            )
+                            assert status == 404
+                        # Listing it in a fold selects nothing foreign.
+                        assert await clients[tenant].merged_hull(
+                            keys=[key]
+                        ) == []
                     stats = await clients[tenant].stats()
                     assert stats["keys"] == len(mine[tenant])
 

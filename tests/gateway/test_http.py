@@ -11,12 +11,14 @@ Acceptance criteria exercised here:
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core import AdaptiveHull
 from repro.engine import StreamEngine
 from repro.gateway import GatewayClient, GatewayHTTPError, Tenant
+from repro.streams.io import summary_from_state
 from repro.window import WindowConfig
 
 R = 8  # matches the conftest gateway_ctx default engine
@@ -190,6 +192,120 @@ class TestVerbs:
                 assert stats["rejected"]["engine"] == 1
                 assert stats["last_error"]
                 await c.aclose()
+
+        run(main())
+
+
+class TestServiceVerbs:
+    """The facade verbs the gateway exposes beyond ingest/hull/keys."""
+
+    def test_extent_folds_own_or_listed_keys(self, gateway_ctx):
+        async def main():
+            async with gateway_ctx() as (gw, *_):
+                acme = client_for(gw, "tok-acme")
+                globex = client_for(gw, "tok-globex")
+                recs = [["a", 0, 0], ["a", 4, 0], ["b", 0, 3], ["b", 1, 1]]
+                await acme.ingest(recs, sync=True)
+                # Far-away foreign points must never enter acme's folds.
+                await globex.ingest([["a", 100, 100]], sync=True)
+                await acme.flush()
+                with StreamEngine(lambda: AdaptiveHull(R)) as ref:
+                    ref.ingest([tuple(r) for r in recs])
+                    assert await acme.merged_hull() == ref.merged_hull()
+                    assert await acme.diameter() == ref.diameter()
+                    assert await acme.width() == ref.width()
+                    assert await acme.merged_hull(keys=["a"]) == (
+                        ref.merged_hull(["a"])
+                    )
+                    assert await acme.diameter(keys=["a", "zz"]) == (
+                        ref.diameter(["a"])
+                    )
+                empty = client_for(gw, "tok-globex")
+                status, doc = await empty.request(
+                    "GET", "/v1/merged_hull?keys=b"
+                )
+                assert (status, doc) == (200, {"hull": [], "count": 0})
+                await acme.aclose()
+                await globex.aclose()
+                await empty.aclose()
+
+        run(main())
+
+    def test_summary_state_and_late_drops(self, gateway_ctx):
+        async def main():
+            engine = StreamEngine(
+                lambda: AdaptiveHull(R),
+                window=WindowConfig(horizon=50.0, max_delay=1.0),
+            )
+            async with gateway_ctx(engine=engine) as (gw, service, _):
+                acme = client_for(gw, "tok-acme")
+                globex = client_for(gw, "tok-globex")
+                admin = client_for(gw, ADMIN_TOKEN)
+                await acme.ingest(
+                    [["k", 0, 0, 10.0], ["k", 1, 2, 11.0]], sync=True
+                )
+                await admin.advance_time(20.0)
+                # Later than the watermark: counted per tenant, dropped.
+                await acme.ingest([["late", 5, 5, 1.0]], sync=True)
+                await globex.ingest([["g", 5, 5, 2.0]], sync=True)
+                assert await acme.late_drops() == {"late": 1}
+                assert await globex.late_drops() == {"g": 1}
+                doc = await acme.summary_state("k")
+                rebuilt = summary_from_state(
+                    doc, factory=engine.summary_factory
+                )
+                assert rebuilt.hull() == await acme.hull("k")
+                assert await acme.summary_state("late") is None
+                assert await globex.summary_state("k") is None
+                # The admin view carries the facade's counters.
+                totals = (await admin.stats())["totals"]
+                assert totals["service"]["late_dropped"] == 2
+                assert "obs" not in totals["service"]
+                await acme.aclose()
+                await globex.aclose()
+                await admin.aclose()
+
+        run(main())
+
+    def test_flush_snapshot_resize_access(self, gateway_ctx, tmp_path):
+        async def main():
+            async with gateway_ctx() as (gw, *_):
+                acme = client_for(gw, "tok-acme")
+                admin = client_for(gw, ADMIN_TOKEN)
+                anon = GatewayClient("127.0.0.1", gw.port)
+                await acme.ingest([["k", 1, 1]])
+                await acme.flush()
+                await admin.flush()
+                status, _ = await anon.request("POST", "/v1/flush")
+                assert status == 401
+                for path, doc in (
+                    ("/v1/snapshot", {}),
+                    ("/v1/resize", {"shards": 2}),
+                ):
+                    status, _ = await acme.request("POST", path, doc)
+                    assert status == 403, path
+                state = await admin.snapshot()
+                assert [k for k, _ in state["summaries"]] == ["acme:k"]
+                path = await admin.snapshot(str(tmp_path / "snap.json"))
+                assert json.loads(open(path).read()) == state
+                status, doc = await admin.request(
+                    "POST", "/v1/resize", {"shards": "two"}
+                )
+                assert status == 400 and "integer" in doc["error"]
+                # An in-process engine has no ring to resize.
+                status, doc = await admin.request(
+                    "POST", "/v1/resize", {"shards": 2}
+                )
+                assert status == 400 and "sharded" in doc["error"]
+                text = await acme.metrics_text()
+                for verb in ("flush", "snapshot", "resize"):
+                    assert (
+                        f'repro_gateway_request_seconds_count{{verb="{verb}"}}'
+                        in text
+                    ), verb
+                await acme.aclose()
+                await admin.aclose()
+                await anon.aclose()
 
         run(main())
 
@@ -405,6 +521,61 @@ class TestLimits:
         run(main())
 
 
+    @pytest.mark.parametrize(
+        "refresh", ["/v1/keys", "/v1/stats", "/metrics"]
+    )
+    def test_ledger_refresh_keeps_inflight_reservations(
+        self, gateway_ctx, refresh
+    ):
+        """A ledger refresh (behind /v1/keys, /v1/stats and /metrics)
+        that lands while a quota-checked batch waits to be enqueued
+        must keep that batch's key reservation — re-deriving the ledger
+        from the engine's live keys alone would free the slot, and a
+        second new key would pass the quota too."""
+
+        async def main():
+            tenants = [Tenant(id="capped", token="tok-cap", max_keys=1)]
+            async with gateway_ctx(tenants=tenants) as (
+                gw, service, _registry,
+            ):
+                orig = service.ingest_arrays
+                held, release = asyncio.Event(), asyncio.Event()
+
+                async def held_first(*a, **kw):
+                    if not held.is_set():
+                        held.set()
+                        await release.wait()
+                    return await orig(*a, **kw)
+
+                service.ingest_arrays = held_first
+                a = client_for(gw, "tok-cap")
+                b = client_for(gw, "tok-cap")
+                first = asyncio.ensure_future(
+                    a.request(
+                        "POST", "/v1/ingest",
+                        {"records": [["one", 1, 1]], "sync": True},
+                    )
+                )
+                await held.wait()  # "one" passed its quota check
+                status, _ = await b.request("GET", refresh)
+                assert status == 200
+                status, payload = await b.request(
+                    "POST", "/v1/ingest",
+                    {"records": [["two", 2, 2]], "sync": True},
+                )
+                assert status == 403, payload
+                assert "quota" in payload["error"]
+                release.set()
+                status, _ = await first
+                assert status == 202
+                await service.flush()
+                assert await service.keys() == ["capped:one"]
+                await a.aclose()
+                await b.aclose()
+
+        run(main())
+
+
 class TestSSE:
     def test_subscription_is_namespaced(self, gateway_ctx):
         async def main():
@@ -527,6 +698,8 @@ class TestMetrics:
                 head, _, body = raw.partition(b"\r\n\r\n")
                 assert b"200" in head.split(b"\r\n", 1)[0]
                 assert b"repro_gateway_requests_total" in body
+
+        run(main())
 
 
 class TestClientRetry:

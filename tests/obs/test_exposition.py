@@ -4,9 +4,10 @@
 every sample must belong to a family announced by HELP/TYPE lines,
 histogram buckets must be cumulative, monotone, and end at ``+Inf``
 with a matching ``_count``.  It is run against both a synthetic
-registry and a live :class:`HullServer` over a sharded windowed ring —
-the acceptance surface: the page must include engine, shard (with the
-per-shard transport timing split), window, and serve families.
+registry and a live :class:`~repro.gateway.HullGateway` over a sharded
+windowed ring — the acceptance surface: the page must include engine,
+shard (with the per-shard transport timing split), window, serve and
+gateway families.
 """
 
 import asyncio
@@ -15,8 +16,9 @@ import re
 import numpy as np
 import pytest
 
+from repro.gateway import GatewayClient, HullGateway, Tenant, TenantRegistry
 from repro.obs import Counter, Registry, render_snapshot
-from repro.serve import AsyncHullClient, AsyncHullService, HullServer
+from repro.serve import AsyncHullService
 from repro.shard import ShardedEngine, SummarySpec
 
 SAMPLE_RE = re.compile(
@@ -155,8 +157,9 @@ REQUIRED_FAMILIES = (
     # serve tier
     "repro_serve_queue_wait_seconds",
     "repro_serve_coalesced_records",
-    "repro_serve_verb_seconds",
-    "repro_serve_connections",
+    # gateway (the network front door)
+    "repro_gateway_request_seconds",
+    "repro_gateway_connections",
 )
 
 
@@ -167,9 +170,10 @@ def test_live_server_exposition_verb_and_http():
             shards=2,
             window={"horizon": 50.0, "max_delay": 2.0, "head_capacity": 16},
         )
+        registry = TenantRegistry([Tenant(id="ops", token="tok")])
         async with AsyncHullService(eng, own_engine=True) as svc:
-            async with HullServer(svc, metrics_port=0) as srv:
-                client = await AsyncHullClient.connect(port=srv.port)
+            async with HullGateway(svc, registry, metrics_port=0) as gw:
+                client = GatewayClient("127.0.0.1", gw.port, "tok")
                 try:
                     rng = np.random.default_rng(3)
                     pts = rng.normal(size=(600, 2))
@@ -182,9 +186,9 @@ def test_live_server_exposition_verb_and_http():
                     )
                     await client.flush()
                     await client.merged_hull()
-                    verb_text = await client.metrics()
+                    verb_text = await client.metrics_text()
                     reader, writer = await asyncio.open_connection(
-                        "127.0.0.1", srv.metrics_port
+                        "127.0.0.1", gw.metrics_port
                     )
                     writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
                     await writer.drain()
@@ -193,7 +197,7 @@ def test_live_server_exposition_verb_and_http():
                     await writer.wait_closed()
                     # And the 404 path.
                     reader, writer = await asyncio.open_connection(
-                        "127.0.0.1", srv.metrics_port
+                        "127.0.0.1", gw.metrics_port
                     )
                     writer.write(b"GET /other HTTP/1.0\r\n\r\n")
                     await writer.drain()
@@ -206,9 +210,9 @@ def test_live_server_exposition_verb_and_http():
 
     verb_text, raw, miss = asyncio.run(run())
     head, _, body = raw.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.0 200 OK")
+    assert head.startswith(b"HTTP/1.1 200 OK")
     assert b"text/plain; version=0.0.4" in head
-    assert miss.startswith(b"HTTP/1.0 404")
+    assert miss.startswith(b"HTTP/1.1 404")
 
     http_text = body.decode("utf-8")
     for text in (verb_text, http_text):
@@ -227,7 +231,8 @@ def test_live_server_exposition_verb_and_http():
         r"repro_window_bucket_seals_total [1-9]", http_text
     )
     assert re.search(
-        r'repro_serve_verb_seconds_count\{verb="ingest"\} [1-9]', http_text
+        r'repro_gateway_request_seconds_count\{verb="ingest"\} [1-9]',
+        http_text,
     )
     assert re.search(
         r'repro_transport_bytes_total\{dir="send"\} [1-9]', http_text

@@ -1,11 +1,11 @@
-"""Serving with durability: WAL behind the coalescer, resize over TCP.
+"""Serving with durability: WAL behind the coalescer, resize over HTTP.
 
 The serve-tier durability contract: ``durability=`` on the service
 attaches the WAL to the *engine thread* (write-ahead of each apply, so
 the log captures exactly the applied order even when coalescing
 re-sorts arrivals), a recovered engine is served with
-``durability=None`` (double-attach is refused loudly), and the ``resize``
-verb carries the live ring resize through the protocol.
+``durability=None`` (double-attach is refused loudly), and the gateway's
+admin ``resize`` verb carries the live ring resize over the wire.
 """
 
 import asyncio
@@ -15,8 +15,8 @@ import pytest
 
 from repro.durable import DurabilityConfig, WalError, recover_engine
 from repro.engine import StreamEngine
-from repro.serve import AsyncHullClient, AsyncHullService, HullServer
-from repro.serve.client import RemoteEngineError
+from repro.gateway import GatewayHTTPError
+from repro.serve import AsyncHullService
 from repro.shard import ShardedEngine, SummarySpec
 
 SPEC = SummarySpec("AdaptiveHull", {"r": 8})
@@ -134,61 +134,42 @@ class TestServiceDurability:
 
 
 class TestResizeVerb:
-    def test_resize_over_tcp(self):
+    def test_resize_over_tcp(self, served):
         keys, pts = workload()
 
         async def run():
             engine = ShardedEngine(SPEC, shards=2)
-            async with AsyncHullService(
-                engine, own_engine=True
-            ) as service:
-                async with HullServer(service) as server:
-                    client = await AsyncHullClient.connect(
-                        port=server.port
-                    )
-                    try:
-                        await client.ingest(
-                            [
-                                [str(k), float(x), float(y)]
-                                for k, (x, y) in zip(keys, pts)
-                            ],
-                            sync=True,
-                        )
-                        event = await client.resize(3)
-                        hulls = {
-                            k: await client.hull(k) for k in KEYS
-                        }
-                        stats = await client.stats()
-                        return event, hulls, stats
-                    finally:
-                        await client.aclose()
+            async with served(engine) as (client, admin, service):
+                await client.ingest(
+                    [[str(k), float(x), float(y)] for k, (x, y) in zip(keys, pts)],
+                    sync=True,
+                )
+                # Resizing acts on the whole ring: admin only.
+                status, _ = await client.request(
+                    "POST", "/v1/resize", {"shards": 3}
+                )
+                assert status == 403
+                event = await admin.resize(3)
+                hulls = {k: await client.hull(k) for k in KEYS}
+                stats = await service.stats()
+                return event, hulls, stats
 
         event, hulls, stats = asyncio.run(run())
         assert event["from"] == 2 and event["to"] == 3
         assert event["total_keys"] == len(KEYS)
-        assert stats["shards"] == 3
+        assert stats.shards == 3
         with ShardedEngine(SPEC, shards=3) as ref:
             keys_, pts_ = workload()
             ref.ingest_arrays(keys_, pts_)
             for k in KEYS:
                 assert hulls[k] == ref.hull(k)
 
-    def test_resize_requires_sharded_engine(self):
+    def test_resize_requires_sharded_engine(self, served):
         async def run():
             engine = StreamEngine(SPEC.build)
-            async with AsyncHullService(
-                engine, own_engine=True
-            ) as service:
-                async with HullServer(service) as server:
-                    client = await AsyncHullClient.connect(
-                        port=server.port
-                    )
-                    try:
-                        with pytest.raises(
-                            RemoteEngineError, match="sharded"
-                        ):
-                            await client.resize(3)
-                    finally:
-                        await client.aclose()
+            async with served(engine) as (_client, admin, _service):
+                with pytest.raises(GatewayHTTPError, match="sharded") as err:
+                    await admin.resize(3)
+                assert err.value.status == 400
 
         asyncio.run(run())

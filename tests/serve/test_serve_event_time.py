@@ -1,11 +1,11 @@
 """Bounded-lateness event time through the serving layer.
 
 The acceptance criterion end to end: a stream shuffled within
-``max_delay`` and pushed through the async facade or the TCP
-client/server round trip yields **bit-identical** per-key and global
-results to the sorted stream fed directly into a synchronous engine —
-for both engine tiers — and beyond-lateness records are counted in the
-service/engine stats (visible over TCP), never silently applied.  The
+``max_delay`` and pushed through the async facade or the HTTP gateway
+yields **bit-identical** per-key and global results to the sorted
+stream fed directly into a synchronous engine — for both engine tiers
+— and beyond-lateness records are counted in the service/engine stats
+(visible over HTTP), never silently applied.  The
 facade's coalescing queue additionally pre-sorts bounded-lateness runs
 before the engine sees them.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import AdaptiveHull
 from repro.engine import StreamEngine
-from repro.serve import AsyncHullClient, AsyncHullService, HullServer
+from repro.serve import AsyncHullService
 from repro.shard import ShardedEngine, SummarySpec
 from repro.streams import bounded_shuffle
 from repro.streams.io import summary_from_state
@@ -50,16 +50,17 @@ def _workload(n, seed):
     return keys, pts, ts
 
 
-def _reference(keys, pts, ts, final, tier="stream"):
+def _reference(keys, pts, ts, final, tier="stream", scope=str):
     """Sorted-stream answers on the same tier (global reductions are
-    only bit-comparable within one tier: a multi-shard ring tree-merges
-    in its own deterministic order)."""
+    only bit-comparable within one tier and one key naming: a
+    multi-shard ring tree-merges in its own deterministic order).
+    ``scope`` maps a client key to the engine key the service sees."""
     ref = _engine(tier)
     with ref:
-        ref.ingest_arrays(keys, pts, ts=ts)
+        ref.ingest_arrays([scope(k) for k in keys], pts, ts=ts)
         ref.advance_time(final)
         return (
-            {k: ref.hull(k) for k in KEYS},
+            {k: ref.hull(scope(k)) for k in KEYS},
             ref.merged_hull(),
             ref.diameter(),
             ref.width(),
@@ -102,49 +103,43 @@ def test_facade_shuffled_parity_and_presort(tier):
 
 
 @pytest.mark.parametrize("tier", ["stream", "sharded"])
-def test_tcp_shuffled_parity_and_late_accounting(tier):
+def test_tcp_shuffled_parity_and_late_accounting(tier, served, tenant):
     n, batch = 500, 100
     keys, pts, ts = _workload(n, 51)
     order = bounded_shuffle(ts, MAX_DELAY, seed=52)
     final = float(ts[-1]) + 2 * MAX_DELAY
-    hulls, merged, _, _ = _reference(keys, pts, ts, final, tier)
+    hulls, merged, _, _ = _reference(
+        keys, pts, ts, final, tier, scope=tenant.scope
+    )
 
     async def run():
-        engine = _engine(tier)
-        async with AsyncHullService(engine, own_engine=True) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    for s in range(0, n, batch):
-                        sl = order[s : s + batch]
-                        await client.ingest(
-                            [
-                                (
-                                    str(keys[i]),
-                                    float(pts[i, 0]),
-                                    float(pts[i, 1]),
-                                    float(ts[i]),
-                                )
-                                for i in sl
-                            ],
-                            sync=True,
+        async with served(_engine(tier)) as (client, admin, _service):
+            for s in range(0, n, batch):
+                sl = order[s : s + batch]
+                await client.ingest(
+                    [
+                        (
+                            str(keys[i]),
+                            float(pts[i, 0]),
+                            float(pts[i, 1]),
+                            float(ts[i]),
                         )
-                    await client.flush()
-                    await client.advance_time(final)
-                    got = {k: await client.hull(k) for k in KEYS}
-                    got_merged = await client.merged_hull()
-                    # A far-late record: counted (engine stats + TCP
-                    # late_drops + service_stats), never applied.
-                    await client.ingest(
-                        [("straggler", 1e6, 1e6, 0.0)], sync=True
-                    )
-                    stats = await client.stats()
-                    drops = await client.late_drops()
-                    sstats = await client.service_stats()
-                    after = {k: await client.hull(k) for k in KEYS}
-                    return got, got_merged, stats, drops, sstats, after
-                finally:
-                    await client.aclose()
+                        for i in sl
+                    ],
+                    sync=True,
+                )
+            await client.flush()
+            await admin.advance_time(final)
+            got = {k: await client.hull(k) for k in KEYS}
+            got_merged = await client.merged_hull()
+            # A far-late record: counted (tenant stats + late_drops +
+            # the admin view of the service stats), never applied.
+            await client.ingest([("straggler", 1e6, 1e6, 0.0)], sync=True)
+            stats = await client.stats()
+            drops = await client.late_drops()
+            sstats = (await admin.stats())["totals"]["service"]
+            after = {k: await client.hull(k) for k in KEYS}
+            return got, got_merged, stats, drops, sstats, after
 
     got, got_merged, stats, drops, sstats, after = asyncio.run(run())
     assert got == hulls
@@ -183,35 +178,30 @@ def test_facade_parity_property(seed, batch):
     assert got == hulls and got_merged == merged
 
 
-def test_summary_state_fetch_over_tcp():
+def test_summary_state_fetch_over_tcp(served):
     keys, pts, ts = _workload(200, 61)
     final = float(ts[-1]) + 2 * MAX_DELAY
 
     async def run():
         engine = _engine("stream")
-        async with AsyncHullService(engine, own_engine=True) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    await client.ingest(
-                        [
-                            (
-                                str(keys[i]),
-                                float(pts[i, 0]),
-                                float(pts[i, 1]),
-                                float(ts[i]),
-                            )
-                            for i in range(len(ts))
-                        ],
-                        sync=True,
+        async with served(engine) as (client, admin, _service):
+            await client.ingest(
+                [
+                    (
+                        str(keys[i]),
+                        float(pts[i, 0]),
+                        float(pts[i, 1]),
+                        float(ts[i]),
                     )
-                    await client.advance_time(final)
-                    doc = await client.summary_state(KEYS[0])
-                    missing = await client.summary_state("never-fed")
-                    server_hull = await client.hull(KEYS[0])
-                    return doc, missing, server_hull, engine.summary_factory
-                finally:
-                    await client.aclose()
+                    for i in range(len(ts))
+                ],
+                sync=True,
+            )
+            await admin.advance_time(final)
+            doc = await client.summary_state(KEYS[0])
+            missing = await client.summary_state("never-fed")
+            server_hull = await client.hull(KEYS[0])
+            return doc, missing, server_hull, engine.summary_factory
 
     doc, missing, server_hull, factory = asyncio.run(run())
     assert missing is None

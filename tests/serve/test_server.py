@@ -1,9 +1,10 @@
-"""NDJSON TCP server + client: round-trip parity, push, errors.
+"""The network front door over HTTP: round-trip parity, push, errors.
 
 The acceptance property, over the wire: a stream ingested through the
-client/server loop yields bit-identical per-key and global results to
-the same stream fed synchronously into the underlying engine (JSON
-round-trips IEEE doubles exactly).
+gateway yields bit-identical per-key and global results to the same
+stream fed synchronously into a private engine under the keys the
+service sees (JSON round-trips IEEE doubles exactly, and the tenant
+namespace is a key prefix that preserves the canonical fold order).
 """
 
 import asyncio
@@ -14,12 +15,7 @@ import pytest
 
 from repro.core import AdaptiveHull
 from repro.engine import StreamEngine
-from repro.serve import (
-    AsyncHullClient,
-    AsyncHullService,
-    HullServer,
-    RemoteEngineError,
-)
+from repro.gateway import GatewayClient, GatewayHTTPError
 from repro.shard import ShardedEngine, SummarySpec
 from repro.streams import drifting_clusters_stream
 from repro.window import WindowConfig
@@ -52,40 +48,22 @@ def records(timed):
         ]
 
 
-def sync_reference(engine_factory, timed):
+def sync_reference(engine_factory, timed, tenant):
+    """A private engine fed the same records under the scoped keys the
+    gateway hands the service (a ring routes by key, so the global folds
+    of a sharded tier are only bit-comparable on the same key names)."""
     with engine_factory() as engine:
         for batch in records(timed):
-            engine.ingest([tuple(rec) for rec in batch])
+            engine.ingest(
+                [(tenant.scope(rec[0]), *rec[1:]) for rec in batch]
+            )
         return {
-            "keys": sorted(engine.keys()),
-            "per_key": {k: engine.hull(k) for k in engine.keys()},
+            "keys": KEYS,
+            "per_key": {k: engine.hull(tenant.scope(k)) for k in KEYS},
             "merged": engine.merged_hull(),
             "diameter": engine.diameter(),
             "width": engine.width(),
         }
-
-
-async def tcp_results(engine_factory):
-    engine = engine_factory()
-    async with AsyncHullService(engine, own_engine=True) as service:
-        async with HullServer(service) as server:
-            client = await AsyncHullClient.connect(port=server.port)
-            try:
-                timed = engine.window is not None and engine.window.timed
-                for batch in records(timed):
-                    await client.ingest(batch)
-                await client.flush()
-                return {
-                    "keys": sorted(await client.keys()),
-                    "per_key": {
-                        k: await client.hull(k) for k in await client.keys()
-                    },
-                    "merged": await client.merged_hull(),
-                    "diameter": await client.diameter(),
-                    "width": await client.width(),
-                }
-            finally:
-                await client.aclose()
 
 
 @pytest.mark.parametrize(
@@ -97,7 +75,7 @@ async def tcp_results(engine_factory):
         ("sharded", "timed"),
     ],
 )
-def test_tcp_round_trip_parity(tier, mode):
+def test_tcp_round_trip_parity(tier, mode, served, tenant):
     window = {
         "none": None,
         "count": WindowConfig(last_n=150),
@@ -112,146 +90,142 @@ def test_tcp_round_trip_parity(tier, mode):
         )
 
     timed = window is not None and window.timed
-    expected = sync_reference(factory, timed)
-    got = asyncio.run(tcp_results(factory))
-    assert got == expected  # bit-identical through JSON/TCP
+
+    async def run():
+        async with served(factory()) as (client, _admin, _service):
+            for batch in records(timed):
+                await client.ingest(batch)
+            await client.flush()
+            return {
+                "keys": await client.keys(),
+                "per_key": {
+                    k: await client.hull(k) for k in await client.keys()
+                },
+                "merged": await client.merged_hull(),
+                "diameter": await client.diameter(),
+                "width": await client.width(),
+            }
+
+    got = asyncio.run(run())
+    assert got == sync_reference(factory, timed, tenant)  # bit-identical
 
 
-def test_subscribe_push_and_unsubscribe_over_tcp():
+def test_subscribe_push_and_unsubscribe_over_tcp(served):
     async def run():
         engine = StreamEngine(lambda: AdaptiveHull(R))
-        async with AsyncHullService(engine) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    sub = await client.subscribe(keys=["a"])
-                    await client.ingest([["b", 1.0, 1.0]], sync=True)
-                    await client.ingest([["a", 2.0, 2.0]], sync=True)
-                    touched = await asyncio.wait_for(sub.get(), 5)
-                    assert touched == {"a"}
-                    await sub.cancel()
-                    await client.ingest([["a", 3.0, 3.0]], sync=True)
-                    assert sub._queue.empty()
-                finally:
-                    await client.aclose()
+        async with served(engine, sse_heartbeat=0.05) as (
+            client, _admin, service,
+        ):
+            sse = await client.subscribe(keys=["a"])
+            await client.ingest([["b", 1.0, 1.0]], sync=True)
+            await client.ingest([["a", 2.0, 2.0]], sync=True)
+            event = await sse.next_event(timeout=5)
+            assert event["event"] == "update"
+            assert event["data"]["keys"] == ["a"]
+            assert service.service_stats()["subscribers"] == 1
+            # Closing the stream is the unsubscribe: the next heartbeat
+            # write fails and the gateway detaches the subscription.
+            await sse.aclose()
+            for _ in range(200):
+                if service.service_stats()["subscribers"] == 0:
+                    break
+                await asyncio.sleep(0.025)
+            assert service.service_stats()["subscribers"] == 0
+            await client.ingest([["a", 3.0, 3.0]], sync=True)
 
     asyncio.run(run())
 
 
-def test_resubscribe_replaces_key_filter():
-    """A second subscribe op on the same connection replaces the old
-    filter (regression: it was silently ignored)."""
-
+def test_oversize_line_drops_connection_cleanly(served):
     async def run():
         engine = StreamEngine(lambda: AdaptiveHull(R))
-        async with AsyncHullService(engine) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    sub = await client.subscribe(keys=["a"])
-                    # Raw re-subscribe with a different filter; events
-                    # keep landing in the client-side queue.
-                    await client._request({"op": "subscribe", "keys": ["b"]})
-                    await client.ingest([["a", 1.0, 1.0]], sync=True)
-                    await client.ingest([["b", 2.0, 2.0]], sync=True)
-                    touched = await asyncio.wait_for(sub.get(), 5)
-                    assert touched == {"b"}  # new filter is active
-                finally:
-                    await client.aclose()
-
-    asyncio.run(run())
-
-
-def test_oversize_line_drops_connection_cleanly():
-    from repro.serve.server import MAX_LINE
-
-    async def run():
-        engine = StreamEngine(lambda: AdaptiveHull(R))
-        async with AsyncHullService(engine) as service:
-            async with HullServer(service) as server:
-                reader, writer = await asyncio.open_connection(
-                    port=server.port
-                )
-                writer.write(b"x" * (MAX_LINE + 64) + b"\n")
-                await writer.drain()
-                # The server drops the broken framing without crashing;
-                # the socket reaches EOF instead of hanging.
-                assert await asyncio.wait_for(reader.read(), 10) == b""
-                writer.close()
+        async with served(engine) as (client, _admin, _service):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", client.port
+            )
+            writer.write(b"GET /" + b"x" * (1 << 17) + b" HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            # The gateway answers the broken request once and hangs up
+            # instead of hanging or crashing.  Closing with the rest of
+            # the request unread may turn the hang-up into a reset that
+            # overtakes the answer.
+            try:
+                raw = await asyncio.wait_for(reader.read(), 10)
+            except ConnectionResetError:
+                raw = b""
+            assert raw == b"" or raw.startswith(b"HTTP/1.1 431")
+            writer.close()
+            try:
                 await writer.wait_closed()
-                # And the listener still accepts fresh connections.
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    assert (await client.ping())["engine"] == "StreamEngine"
-                finally:
-                    await client.aclose()
+            except ConnectionResetError:
+                pass
+            # And the listener still serves fresh connections.
+            await client.ingest([["a", 1.0, 1.0]], sync=True)
+            assert await client.keys() == ["a"]
 
     asyncio.run(run())
 
 
-def test_remote_errors_and_bad_lines():
+def test_remote_errors_and_bad_lines(served):
     async def run():
         engine = StreamEngine(
             lambda: AdaptiveHull(R), window=WindowConfig(horizon=5.0)
         )
-        async with AsyncHullService(engine) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    with pytest.raises(RemoteEngineError, match="unknown op"):
-                        await client._request({"op": "nonsense"})
-                    with pytest.raises(RemoteEngineError, match="unknown query"):
-                        await client._query("nonsense")
-                    # Producer-side validation travels back as an error.
-                    with pytest.raises(RemoteEngineError, match="coercible"):
-                        await client.ingest([["a", "oops", 0.0]])
-                    # Engine-level rejection surfaces on sync ingest.
-                    await client.ingest([["a", 1.0, 1.0, 9.0]], sync=True)
-                    with pytest.raises(
-                        RemoteEngineError, match="non-decreasing"
-                    ):
-                        await client.ingest([["a", 2.0, 2.0, 1.0]], sync=True)
-                    # The connection survives all of it.
-                    assert (await client.ping())["engine"] == "StreamEngine"
-                finally:
-                    await client.aclose()
-                # A malformed JSON line gets an error reply, not a hangup.
-                reader, writer = await asyncio.open_connection(
-                    port=server.port
-                )
-                writer.write(b"this is not json\n")
-                await writer.drain()
-                reply = json.loads(await reader.readline())
-                assert reply["ok"] is False
-                writer.write(b'{"op": "ping", "id": 1}\n')
-                await writer.drain()
-                assert json.loads(await reader.readline())["ok"] is True
-                writer.close()
-                await writer.wait_closed()
+        async with served(engine) as (client, _admin, _service):
+            status, doc = await client.request("GET", "/v1/nonsense")
+            assert status == 404 and "unknown path" in doc["error"]
+            # Producer-side validation travels back as a 400.
+            with pytest.raises(GatewayHTTPError, match="coercible") as err:
+                await client.ingest([["a", "oops", 0.0, 1.0]])
+            assert err.value.status == 400
+            # Engine-level rejection surfaces on sync ingest.
+            await client.ingest([["a", 1.0, 1.0, 9.0]], sync=True)
+            with pytest.raises(GatewayHTTPError, match="non-decreasing"):
+                await client.ingest([["a", 2.0, 2.0, 1.0]], sync=True)
+            # The connection survives all of it.
+            assert await client.keys() == ["a"]
+            # A malformed body gets an error answer, not a hangup.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", client.port
+            )
+            body = b"this is not json"
+            writer.write(
+                b"POST /v1/ingest HTTP/1.1\r\n"
+                b"Authorization: Bearer " + client.token.encode() + b"\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+                + body
+            )
+            await writer.drain()
+            status, _, payload = await GatewayClient._read_response(reader)
+            assert status == 400 and "invalid JSON" in payload["error"]
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            status, _, payload = await GatewayClient._read_response(reader)
+            assert (status, payload) == (200, {"ok": True})
+            writer.close()
+            await writer.wait_closed()
 
     asyncio.run(run())
 
 
-def test_snapshot_over_tcp_restores_identically(tmp_path):
+def test_snapshot_over_tcp_restores_identically(tmp_path, served):
     async def run():
         engine = StreamEngine(lambda: AdaptiveHull(R))
-        async with AsyncHullService(engine) as service:
-            async with HullServer(service) as server:
-                client = await AsyncHullClient.connect(port=server.port)
-                try:
-                    for batch in records(False):
-                        await client.ingest(batch)
-                    await client.flush()
-                    state = await client.snapshot_state()
-                    server_path = await client.snapshot(
-                        tmp_path / "remote.json"
-                    )
-                    hulls = {k: engine.hull(k) for k in engine.keys()}
-                    return state, server_path, hulls
-                finally:
-                    await client.aclose()
+        async with served(engine) as (client, admin, _service):
+            for batch in records(False):
+                await client.ingest(batch)
+            await client.flush()
+            state = await admin.snapshot()
+            server_path = await admin.snapshot(str(tmp_path / "remote.json"))
+            # Snapshots act on the whole engine: admin only.
+            status, _ = await client.request("POST", "/v1/snapshot", {})
+            assert status == 403
+            hulls = {k: engine.hull(k) for k in engine.keys()}
+            return state, server_path, hulls
 
     state, server_path, hulls = asyncio.run(run())
+    # The inline state crossed the wire as JSON, exactly like the file.
+    assert state == json.loads(json.dumps(state))
     with StreamEngine.from_snapshot_state(
         state, lambda: AdaptiveHull(R)
     ) as restored:

@@ -16,13 +16,12 @@ import pytest
 
 from repro.engine import StreamEngine
 from repro.shard import ShardedEngine, ShardError, SummarySpec
-from repro.shard.transport import shm_available
 
 SPEC = SummarySpec("AdaptiveHull", {"r": 8})
 
-TRANSPORT_PARAMS = ["pickle", "frames"] + (
-    ["shm"] if shm_available() else []
-)
+#: The shard pipe protocol (frames is the only one); it names the arm
+#: in each test id.
+TRANSPORT_PARAMS = ["frames"]
 
 
 def workload(n=400, n_keys=8, seed=3):
@@ -52,7 +51,7 @@ def keys_by_shard(engine, pool):
 class TestDeadWorker:
     def test_kill_mid_batch_raises_not_hangs(self, transport):
         keys, pts, pool = workload()
-        with ShardedEngine(SPEC, shards=3, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=3) as eng:
             eng.ingest_arrays(keys, pts)
             victim = eng.shard_for(pool[0])
             kill_worker(eng, victim)
@@ -63,7 +62,7 @@ class TestDeadWorker:
 
     def test_kill_mid_query_raises_not_hangs(self, transport):
         keys, pts, pool = workload()
-        with ShardedEngine(SPEC, shards=3, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=3) as eng:
             eng.ingest_arrays(keys, pts)
             kill_worker(eng, 1)
             t0 = time.monotonic()
@@ -76,7 +75,7 @@ class TestDeadWorker:
         keys, pts, pool = workload()
         ref = StreamEngine(SPEC.build)
         ref.ingest_arrays(keys, pts)
-        with ShardedEngine(SPEC, shards=3, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=3) as eng:
             eng.ingest_arrays(keys, pts)
             owned = keys_by_shard(eng, pool)
             victim = next(iter(owned))
@@ -93,7 +92,7 @@ class TestDeadWorker:
 
     def test_dead_shard_errors_are_repeatable(self, transport):
         keys, pts, pool = workload()
-        with ShardedEngine(SPEC, shards=2, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=2) as eng:
             eng.ingest_arrays(keys, pts)
             kill_worker(eng, 0)
             for _ in range(3):  # no desync: every retry fails cleanly
@@ -102,7 +101,7 @@ class TestDeadWorker:
 
     def test_close_completes_after_a_death(self, transport):
         keys, pts, pool = workload()
-        eng = ShardedEngine(SPEC, shards=3, transport=transport)
+        eng = ShardedEngine(SPEC, shards=3)
         try:
             eng.ingest_arrays(keys, pts)
             kill_worker(eng, 2)
@@ -114,7 +113,7 @@ class TestDeadWorker:
             assert not proc.is_alive()
 
     def test_operations_after_close_raise(self, transport):
-        eng = ShardedEngine(SPEC, shards=2, transport=transport)
+        eng = ShardedEngine(SPEC, shards=2)
         eng.close()
         with pytest.raises(ShardError, match="closed"):
             eng.merged_summary()
@@ -126,7 +125,7 @@ class TestSlowWorker:
         keys, pts, pool = workload()
         ref = StreamEngine(SPEC.build)
         ref.ingest_arrays(keys, pts)
-        with ShardedEngine(SPEC, shards=3, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=3) as eng:
             eng.ingest_arrays(keys, pts)
             before = eng.merged_summary()
             # Make shard 0 sleep before every op: a straggler, not a
@@ -142,7 +141,7 @@ class TestSlowWorker:
     def test_slow_worker_still_ingests_in_order(self, transport):
         keys, pts, pool = workload()
         ref = StreamEngine(SPEC.build)
-        with ShardedEngine(SPEC, shards=2, transport=transport) as eng:
+        with ShardedEngine(SPEC, shards=2) as eng:
             eng._call(1, "set_latency", 0.02)
             for lo in range(0, len(keys), 100):
                 eng.ingest_arrays(keys[lo:lo + 100], pts[lo:lo + 100])
@@ -164,7 +163,7 @@ class TestDeadWorkerWithStandbys:
         ref.ingest_arrays(keys, pts)
         ref.ingest_arrays(keys, pts)
         with ShardedEngine(
-            SPEC, shards=3, transport=transport, standbys=1
+            SPEC, shards=3, standbys=1
         ) as eng:
             eng.ingest_arrays(keys, pts)
             victim = eng.shard_for(pool[0])
@@ -179,7 +178,7 @@ class TestDeadWorkerWithStandbys:
         ref = StreamEngine(SPEC.build)
         ref.ingest_arrays(keys, pts)
         with ShardedEngine(
-            SPEC, shards=3, transport=transport, standbys=1
+            SPEC, shards=3, standbys=1
         ) as eng:
             eng.ingest_arrays(keys, pts)
             kill_worker(eng, 1)
@@ -193,7 +192,7 @@ class TestDeadWorkerWithStandbys:
     def test_exhausted_lane_group_fails_fast_again(self, transport):
         keys, pts, pool = workload()
         with ShardedEngine(
-            SPEC, shards=2, transport=transport, standbys=1
+            SPEC, shards=2, standbys=1
         ) as eng:
             eng.ingest_arrays(keys, pts)
             kill_worker(eng, 0)
@@ -206,7 +205,7 @@ class TestDeadWorkerWithStandbys:
     def test_close_completes_with_standbys_after_death(self, transport):
         keys, pts, pool = workload()
         eng = ShardedEngine(
-            SPEC, shards=3, transport=transport, standbys=1
+            SPEC, shards=3, standbys=1
         )
         try:
             eng.ingest_arrays(keys, pts)

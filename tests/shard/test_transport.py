@@ -21,18 +21,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.shard.transport import (
     MAX_BUFFERS,
-    SHM_THRESHOLD,
     FramePipe,
-    PicklePipe,
-    ShmFramePipe,
     TransportError,
     dumps,
     extract_arrays,
     loads,
-    make_parent_pipe,
-    make_worker_pipe,
     restore_arrays,
-    shm_available,
 )
 
 # -- strategies ----------------------------------------------------------
@@ -277,15 +271,15 @@ class TestRejection:
             loads(12345)
 
     def test_shm_frame_rejected_from_bytes(self):
-        # A bytes-level decoder has no segment to attach; the header
-        # mode must be refused, not guessed around.
-        from repro.shard.transport import _build_header
+        # The retired shared-memory header mode (byte 1 after the
+        # magic) names a segment no decoder attaches any more; it must
+        # be refused, not guessed around.
+        from repro.shard.transport import MAGIC
 
-        head = _build_header(
-            pickle.dumps(None), [8], shm=("repro-x", [0])
-        )
-        with pytest.raises(TransportError, match="shm"):
-            loads(head)
+        head = bytearray(dumps(np.zeros(1)))
+        head[len(MAGIC)] = 1
+        with pytest.raises(TransportError, match="unknown frame mode 1"):
+            loads(bytes(head))
 
 
 # -- live pipe round-trips -----------------------------------------------
@@ -309,13 +303,10 @@ def _echo_pipe(parent_pipe, worker_pipe, messages_to_send):
     return received
 
 
-@pytest.mark.parametrize("transport", ["pickle", "frames", "shm"])
+@pytest.mark.parametrize("transport", ["frames"])
 def test_pipe_round_trip(transport):
-    if transport == "shm" and not shm_available():
-        pytest.skip("no shared memory on this platform")
     a, b = multiprocessing.Pipe()
-    parent = make_parent_pipe(a, transport)
-    worker = make_worker_pipe(b, transport)
+    parent, worker = FramePipe(a), FramePipe(b)
     msgs = [
         ("ingest_arrays", np.array(["k"], dtype=object),
          np.array([[1.0, 2.0]]), None),
@@ -326,60 +317,6 @@ def test_pipe_round_trip(transport):
         received = _echo_pipe(parent, worker, msgs)
         for sent, got in zip(msgs, received):
             assert_equal_tree(got, sent)
-    finally:
-        parent.close()
-        worker.close()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_shm_escalates_large_slices_and_reuses_segments():
-    # The double buffer relies on the shard protocol's strict
-    # request/reply discipline: each message is consumed before the
-    # segment it rode comes up for rewrite, so the test ping-pongs
-    # (only shm headers cross the pipe — recv never blocks a send).
-    a, b = multiprocessing.Pipe()
-    parent = ShmFramePipe(a, threshold=1024)
-    worker = make_worker_pipe(b, "shm")
-    big = np.arange(4096, dtype=np.float64)  # 32 KiB >> threshold
-    try:
-        msgs = [("batch", 0, big), ("ack", 1), ("batch", 1, big + 1),
-                ("batch", 2, big + 2), ("batch", 3, big + 3)]
-        for sent in msgs:
-            parent.send(sent)
-            assert_equal_tree(worker.recv(), sent)
-        # Double buffering: many large messages, only two segments ever.
-        live = [s for s in parent._segments if s is not None]
-        assert 1 <= len(live) <= 2
-    finally:
-        parent.close()
-        worker.close()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_shm_segment_grows_for_oversized_batches():
-    a, b = multiprocessing.Pipe()
-    parent = ShmFramePipe(a, threshold=64)
-    worker = make_worker_pipe(b, "shm")
-    try:
-        sizes = [100, 100_000, 300_000, 100]  # grow mid-stream
-        for n in sizes:
-            sent = np.arange(n, dtype=np.float64)
-            parent.send(sent)
-            np.testing.assert_array_equal(worker.recv(), sent)
-    finally:
-        parent.close()
-        worker.close()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_shm_small_messages_stay_inline():
-    a, b = multiprocessing.Pipe()
-    parent = ShmFramePipe(a, threshold=SHM_THRESHOLD)
-    worker = make_worker_pipe(b, "shm")
-    try:
-        received = _echo_pipe(parent, worker, [("ack", np.arange(4))])
-        assert_equal_tree(received[0], ("ack", np.arange(4)))
-        assert parent._segments == [None, None]  # never escalated
     finally:
         parent.close()
         worker.close()
@@ -415,24 +352,3 @@ def test_frames_recv_rejects_short_payload_frame():
     finally:
         a.close()
         worker.close()
-
-
-def test_pickle_pipe_is_plain_passthrough():
-    a, b = multiprocessing.Pipe()
-    parent, worker = PicklePipe(a), PicklePipe(b)
-    try:
-        parent.send(("op", np.arange(3)))
-        got = worker.recv()
-        assert got[0] == "op"
-        np.testing.assert_array_equal(got[1], np.arange(3))
-    finally:
-        parent.close()
-        worker.close()
-
-
-def test_make_parent_pipe_rejects_unknown_transport():
-    a, _b = multiprocessing.Pipe()
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_parent_pipe(a, "carrier-pigeon")
-    a.close()
-    _b.close()

@@ -57,26 +57,9 @@ class TestParser:
             with pytest.raises(SystemExit, match="window: --"):
                 main(argv)
 
-    def test_serve_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
-
-    def test_serve_run_defaults(self):
-        args = build_parser().parse_args(["serve", "run"])
-        assert args.serve_cmd == "run"
-        assert args.port == 0 and args.workers == 0
-        assert args.last_n is None and args.horizon is None
-        assert not args.selfcheck
-
-    def test_serve_modes_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "run", "--last-n", "100", "--horizon", "5"]
-            )
-
     def test_serve_tick_requires_horizon(self):
         with pytest.raises(SystemExit, match="--tick"):
-            main(["serve", "run", "--tick", "1.0", "--selfcheck"])
+            main(["gateway", "--tick", "1.0", "--selfcheck"])
 
 
 class TestCommands:
@@ -166,42 +149,6 @@ class TestCommands:
         assert "window horizon=1.5" in out
         assert "bucket expiries" in out
 
-    def test_serve_run_selfcheck(self, tmp_path, capsys):
-        snap = tmp_path / "serve.json"
-        assert (
-            main(
-                [
-                    "serve", "run",
-                    "--selfcheck",
-                    "--r", "8",
-                    "--last-n", "500",
-                    "--snapshot", str(snap),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "serving" in out
-        assert "selfcheck" in out
-        assert snap.exists()
-
-    def test_serve_bench_parity(self, capsys):
-        assert (
-            main(
-                [
-                    "serve", "bench",
-                    "--n", "3000",
-                    "--keys", "6",
-                    "--r", "8",
-                    "--batch", "1000",
-                    "--queries", "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "bit-identical global hulls: True" in out
-
     def test_fig10(self, tmp_path, capsys):
         assert main(["fig10", "--out", str(tmp_path), "--n", "800"]) == 0
         out = capsys.readouterr().out
@@ -235,17 +182,13 @@ class TestDurableParser:
         )
         assert args.wal_dir == "d" and args.replicas == 2
 
-    def test_serve_run_gains_wal_and_replica_flags(self):
-        args = build_parser().parse_args(["serve", "run"])
-        assert args.wal_dir is None and args.replicas == 0
-
     def test_negative_replicas_rejected(self):
         with pytest.raises(SystemExit, match="--replicas"):
             main(["shard", "--workers", "2", "--replicas", "-1"])
 
     def test_replicas_need_workers(self):
         with pytest.raises(SystemExit, match="--replicas"):
-            main(["serve", "run", "--replicas", "1", "--selfcheck"])
+            main(["gateway", "--replicas", "1", "--selfcheck"])
 
 
 class TestDurableCommands:
@@ -417,6 +360,17 @@ class TestGatewayCommands:
         assert "sse push ok=True" in out
         assert "bogus token -> 401" in out
         assert 'tenant="alpha"' in out and 'tenant="beta"' in out
+
+    def test_selfcheck_sharded_event_time_and_metrics_port(self, capsys):
+        rc = main([
+            "gateway", "--selfcheck", "--r", "8", "--workers", "2",
+            "--horizon", "5", "--max-delay", "0.5", "--metrics-port", "0",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "late drops {'gw-late': 1} ok=True" in out
+        assert "from metrics port" in out
+        assert 'repro_ingest_records_total{tier="shard"}' in out
 
     def test_selfcheck_with_custom_tenants(self, tmp_path, capsys):
         import json
