@@ -19,8 +19,18 @@ Each scheme's batched run is also split into stages — vectorised
 prefilter, survivor processing, hull-cache rebuilds, and driver
 bookkeeping — so a future regression shows *where* the time went, not
 just that it went.
+
+A many-key engine hands each summary only a few points per batch, so a
+group-size sweep interleaves 8, 16, 32 and 64-point groups over 16
+``AdaptiveHull(32)`` summaries — fresh, after 1,600 points and after
+10^5 points.  Batches under 16 points take the sequential path inside
+``insert_many``, so 8-point groups must run at >= 0.9x the insert loop
+(the vectorised prefilter alone read 0.5-0.6x there); 64-point groups
+on mature hulls must stay >= 2x, which fails if the short-batch route
+ever swallows groups that the prefilter wins on.
 """
 
+import copy
 import os
 import time
 
@@ -37,10 +47,61 @@ from repro.streams import as_tuples, disk_stream
 N = 20_000 if smoke() else 100_000
 R = 32
 
+#: Group-size sweep: summaries interleaved, points per summary per
+#: phase, group sizes, and warm-up lengths ("hull ages").
+SWEEP_KEYS = 16
+SWEEP_POINTS = 400 if smoke() else 1_600
+SWEEP_GROUPS = (8, 16, 32, 64)
+SWEEP_AGES = (0, 1_600, 10_000 if smoke() else 100_000)
+SWEEP_REPS = 5
+
 
 @pytest.fixture(scope="module")
 def stream():
     return disk_stream(N, seed=0)
+
+
+def _sweep_age(age):
+    """``{group: (sequential s, insert_many s)}`` for one hull age: each
+    of SWEEP_KEYS summaries, warmed with ``age`` points, takes
+    SWEEP_POINTS more in round-robin ``group``-point groups (best of
+    SWEEP_REPS, the two loops alternating so host noise hits both)."""
+    streams = [disk_stream(age + SWEEP_POINTS, seed=100 + k) for k in range(SWEEP_KEYS)]
+    warm = []
+    for s in streams:
+        h = AdaptiveHull(R)
+        h.insert_many(s[:age])
+        warm.append(h)
+    tails = [s[age:] for s in streams]
+    tail_pts = [list(as_tuples(t)) for t in tails]
+    seconds = {}
+    for group in SWEEP_GROUPS:
+        seq = bat = 1e9
+        for _ in range(SWEEP_REPS):
+            seq_hulls = copy.deepcopy(warm)
+            t0 = time.perf_counter()
+            for lo in range(0, SWEEP_POINTS, group):
+                for h, pts in zip(seq_hulls, tail_pts):
+                    for p in pts[lo:lo + group]:
+                        h.insert(p)
+            seq = min(seq, time.perf_counter() - t0)
+            bat_hulls = copy.deepcopy(warm)
+            t0 = time.perf_counter()
+            for lo in range(0, SWEEP_POINTS, group):
+                for h, t in zip(bat_hulls, tails):
+                    h.insert_many(t[lo:lo + group])
+            bat = min(bat, time.perf_counter() - t0)
+            for a, b in zip(seq_hulls, bat_hulls):
+                assert a.hull() == b.hull()
+                assert a.points_processed == b.points_processed
+        seconds[group] = (seq, bat)
+    return seconds
+
+
+@pytest.fixture(scope="module")
+def group_sweep():
+    """``{age: {group: (sequential s, insert_many s)}}``."""
+    return {age: _sweep_age(age) for age in SWEEP_AGES}
 
 
 def _measure(make, arr, pts):
@@ -129,10 +190,12 @@ def _stage_split(make, arr):
     return times
 
 
-def test_batch_vs_sequential_throughput(stream):
+def test_batch_vs_sequential_throughput(stream, group_sweep):
     """insert_many must beat a sequential insert loop >= 5.5x on the
     uniform hull and >= 4x on the adaptive hull (the acceptance
-    workload), with a per-stage timing split recorded alongside."""
+    workload), with a per-stage timing split recorded alongside; on
+    short interleaved groups it must hold >= 0.9x at 8 points and >= 2x
+    at 64 points on mature hulls."""
     pts = list(as_tuples(stream))
     lines = [f"{'scheme':>10} {'sequential':>14} {'batched':>14} {'speedup':>8}"]
     speedups = {}
@@ -160,6 +223,17 @@ def test_batch_vs_sequential_throughput(stream):
             f"{100 * s['hull_rebuild'] / total:>9.1f}% "
             f"{100 * s['driver_other'] / total:>9.1f}%"
         )
+    lines.append("")
+    lines.append(
+        f"group sweep: insert_many / sequential speed, {SWEEP_KEYS} interleaved "
+        f"AdaptiveHull({R}), {SWEEP_POINTS:,} points each"
+    )
+    lines.append(f"{'hull age':>10} " + " ".join(f"{f'{g} pts':>8}" for g in SWEEP_GROUPS))
+    for age, cells in group_sweep.items():
+        lines.append(
+            f"{age:>10,} "
+            + " ".join(f"{cells[g][0] / cells[g][1]:>7.2f}x" for g in SWEEP_GROUPS)
+        )
     report = banner(
         f"Batch ingestion, {N:,}-point disk stream, r={R}", "\n".join(lines)
     )
@@ -174,6 +248,17 @@ def test_batch_vs_sequential_throughput(stream):
             "rates_points_per_sec": rates,
             "speedups": speedups,
             "stage_split_seconds": stages,
+            "group_sweep": {
+                "keys": SWEEP_KEYS,
+                "points_per_key": SWEEP_POINTS,
+                "seconds_by_age": {
+                    str(age): {
+                        str(g): {"sequential": seq, "batched": bat}
+                        for g, (seq, bat) in cells.items()
+                    }
+                    for age, cells in group_sweep.items()
+                },
+            },
         },
     )
     print("\n" + report)
@@ -186,6 +271,21 @@ def test_batch_vs_sequential_throughput(stream):
         assert speedups["AdaptiveHull"] >= 4.0 * tol, (
             f"adaptive survivor hot path regressed: "
             f"{speedups['AdaptiveHull']:.2f}x < {4.0 * tol:.2f}x"
+        )
+        # 8-point groups over all three ages together: on mature hulls
+        # the batch-wide validation alone costs a few percent of the
+        # cheap per-point discards, so a single cell sits near the floor.
+        short = sum(c[8][0] for c in group_sweep.values()) / sum(
+            c[8][1] for c in group_sweep.values()
+        )
+        assert short >= 0.9 * tol, (
+            f"8-point groups regressed: {short:.2f}x < {0.9 * tol:.2f}x sequential"
+        )
+        seq, bat = group_sweep[SWEEP_AGES[-1]][64]
+        mature = seq / bat
+        assert mature >= 2.0 * tol, (
+            f"64-point groups on mature hulls regressed: "
+            f"{mature:.2f}x < {2.0 * tol:.2f}x sequential"
         )
 
 

@@ -199,9 +199,11 @@ class AdaptiveHull(HullSummary):
 
         Pre-filters each chunk against the current sample hull with one
         NumPy orientation sweep before running the full per-point update
-        on the survivors.  Exactly equivalent to sequential
-        :meth:`insert` — same hull, samples, refinement forest, and
-        operation counters.
+        on the survivors; a batch under 16 points (a typical per-key
+        group in a many-key engine) is validated whole and then takes
+        :meth:`insert` point by point, since no sweep amortises at that
+        size.  Exactly equivalent to sequential :meth:`insert` — same
+        hull, samples, refinement forest, and operation counters.
         """
         return prefiltered_insert_many(self, points, chunk=chunk)
 

@@ -34,6 +34,16 @@ Segments adapt: they start small — while the young hull still changes
 on most points, masks would be invalidated immediately — and double up
 to ``chunk`` as the hull stabilises, which is what turns the steady
 state into nearly pure NumPy.
+
+Short batches skip all of this.  A batch of fewer than
+``2 * SURVIVOR_SCALAR_PREFIX`` (16) points — the typical per-key group
+of a many-key engine — goes through ``summary.insert`` point by point:
+the prefilter's fixed cost per call (edge forms, span reductions, the
+mask) exceeds the per-point loop it would replace at that size.  It is
+the same rule the ``consume_survivors`` hooks apply to their survivors,
+it depends on the batch length alone (never on hull age or workload),
+and since sequential ``insert`` is the reference the route is
+equivalent by construction.
 """
 
 from __future__ import annotations
@@ -110,7 +120,9 @@ def as_point_array(points) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise TypeError(f"batch must have shape (n, 2), got {arr.shape}")
     finite = np.isfinite(arr)
-    if not finite.all():
+    # count_nonzero, not .all(): a reduction's fixed cost dominates the
+    # short per-key batches a many-key engine validates.
+    if np.count_nonzero(finite) != finite.size:
         bad = int(np.nonzero(~finite.all(axis=1))[0][0])
         raise ValueError(f"batch row {bad} is not finite: {tuple(arr[bad])!r}")
     return np.ascontiguousarray(arr)
@@ -259,6 +271,11 @@ def prefiltered_insert_many(
     points — identical to what a sequential ``insert`` loop would
     return, with identical final state and counters.
 
+    A batch of fewer than ``2 * SURVIVOR_SCALAR_PREFIX`` points is
+    validated as a whole and then ingested with ``summary.insert`` one
+    point at a time; the vectorised prefilter only runs on longer
+    batches, where its fixed cost per call can amortise.
+
     Summaries may additionally expose a ``consume_survivors(sxs, sys)``
     hook: given the coordinate arrays of the remaining mask survivors
     (in stream order), it must ingest a leading run of them with state
@@ -277,11 +294,18 @@ def prefiltered_insert_many(
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     arr = as_point_array(points)
+    n = len(arr)
+    changed = 0
+    if n < 2 * SURVIVOR_SCALAR_PREFIX:
+        # Too short for any vectorised sweep to amortise: the sequential
+        # reference path, after the batch-wide validation above.
+        for x, y in arr.tolist():
+            if summary.insert((x, y)):
+                changed += 1
+        return changed
     xs = arr[:, 0]
     ys = arr[:, 1]
-    n = len(arr)
     consume = getattr(summary, "consume_survivors", None)
-    changed = 0
     pos = 0
     seg = min(_MIN_SEGMENT, chunk)
     while pos < n:

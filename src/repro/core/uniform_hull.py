@@ -107,7 +107,9 @@ class UniformHull(HullSummary):
 
         Pre-filters each chunk against the current sample hull with one
         NumPy orientation sweep; only the rare survivors take the
-        per-point path.  Exactly equivalent to sequential
+        per-point path.  A batch under 16 points is validated whole and
+        then takes :meth:`insert` point by point, since no sweep
+        amortises at that size.  Exactly equivalent to sequential
         :meth:`insert` — same hull, samples, and counters.
         """
         return prefiltered_insert_many(self, points, chunk=chunk)

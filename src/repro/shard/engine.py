@@ -51,6 +51,7 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.util import register_after_fork
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -134,6 +135,11 @@ class ShardStats(BaseStats):
                 f" standbys={self.standbys} promotions={self.promotions}"
             )
         return base
+
+
+def _close_in_child(conn) -> None:
+    """After-fork hook: drop a parent-side pipe end a child inherited."""
+    conn.close()
 
 
 def _default_context():
@@ -345,6 +351,12 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
     def _spawn_lane(self, shard: int, role: int = 0) -> _Lane:
         """Start one worker process for ``shard`` (role 0 = primary)."""
         parent_conn, child_conn = self._ctx.Pipe()
+        # A forked child inherits every parent-side end open at fork
+        # time — its own lane's and those of every earlier lane.  While
+        # any worker holds one, no worker sees EOF when the parent dies,
+        # and the whole ring outlives it.  Closing them first thing in
+        # every forked child leaves the parent the only holder.
+        register_after_fork(parent_conn, _close_in_child)
         name = f"repro-shard-{shard}" + (f"-standby{role}" if role else "")
         proc = self._ctx.Process(
             target=shard_worker_main,

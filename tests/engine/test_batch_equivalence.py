@@ -52,7 +52,8 @@ COUNTERS = (
     "swaps",
 )
 
-SCHEMES = [
+#: The schemes whose insert_many is repro.core.batch's prefiltered driver.
+PREFILTERED_SCHEMES = [
     pytest.param(lambda: UniformHull(8), id="uniform-8"),
     pytest.param(lambda: UniformHull(32), id="uniform-32"),
     pytest.param(lambda: AdaptiveHull(8), id="adaptive-8"),
@@ -66,6 +67,9 @@ SCHEMES = [
     ),
     pytest.param(lambda: FixedSizeAdaptiveHull(8), id="fixed-size"),
     pytest.param(lambda: FixedSizeAdaptiveHull(16), id="fixed-size-16"),
+]
+
+SCHEMES = PREFILTERED_SCHEMES + [
     pytest.param(lambda: ExactHull(), id="exact"),
     pytest.param(lambda: DudleyKernelHull(8), id="dudley"),
     pytest.param(lambda: PartiallyAdaptiveHull(8, train_size=200), id="partial"),
@@ -141,9 +145,9 @@ def test_insert_many_equals_sequential(factory, make_stream):
     assert 0 <= changed <= len(arr)
 
 
-def test_tiny_chunk_bound_is_respected_after_refilters(monkeypatch):
-    """A hull-shrink re-filter must not balloon segments past the
-    caller's chunk bound (the spiral forces constant hull change)."""
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """Segment lengths of every vectorised prefilter call, in order."""
     from repro.core import batch as batch_mod
 
     seen = []
@@ -154,9 +158,15 @@ def test_tiny_chunk_bound_is_respected_after_refilters(monkeypatch):
         return orig(hull, xs, ys)
 
     monkeypatch.setattr(batch_mod, "certain_inside_mask", spying)
+    return seen
+
+
+def test_tiny_chunk_bound_is_respected_after_refilters(mask_calls):
+    """A hull-shrink re-filter must not balloon segments past the
+    caller's chunk bound (the spiral forces constant hull change)."""
     h = AdaptiveHull(8)
     h.insert_many(clusters_stream(600, seed=8), chunk=10)
-    assert seen and max(seen) <= 10
+    assert mask_calls and max(mask_calls) <= 10
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, 100_000])
@@ -300,3 +310,63 @@ def test_adversarial_interleavings(scheme_i, stream_i, seed, n, cuts, singles):
         else:
             mixed.insert_many(arr[lo:hi])
     _assert_equivalent(seq, mixed)
+
+
+@pytest.mark.parametrize("warm", [0, 2000], ids=["fresh", "warm"])
+@pytest.mark.parametrize("size", [15, 16, 17])
+@pytest.mark.parametrize("factory", SCHEMES)
+def test_short_batch_route_boundary(factory, size, warm):
+    """Batches just under, at and over the sequential-route threshold
+    (16 points) match the insert loop, on fresh and on warmed summaries,
+    including the changed count."""
+    arr = _churn_stream(warm + 3 * size, 23)
+    seq = factory()
+    bat = factory()
+    for p in as_tuples(arr[:warm]):
+        seq.insert(p)
+    bat.insert_many(arr[:warm])
+    for lo in range(warm, len(arr), size):
+        group = arr[lo:lo + size]
+        seq_changed = sum(1 for p in as_tuples(group) if seq.insert(p))
+        assert bat.insert_many(group) == seq_changed
+        _assert_equivalent(seq, bat)
+
+
+def test_short_batch_route_honours_chunk():
+    """chunk is still validated and invisible on the short route."""
+    arr = _churn_stream(15, 24)
+    seq = AdaptiveHull(8)
+    for p in as_tuples(arr):
+        seq.insert(p)
+    bat = AdaptiveHull(8)
+    bat.insert_many(arr, chunk=3)
+    _assert_equivalent(seq, bat)
+    with pytest.raises(ValueError, match="chunk"):
+        bat.insert_many(arr, chunk=0)
+
+
+@pytest.mark.parametrize("size,calls", [(15, False), (16, True)])
+def test_short_batches_skip_the_prefilter(mask_calls, size, calls):
+    """Under 16 points no vectorised mask is computed; from 16 on, the
+    prefilter runs (on a hull that can certify points)."""
+    h = AdaptiveHull(16)
+    h.insert_many(disk_stream(2000, seed=25))
+    mask_calls.clear()
+    h.insert_many(disk_stream(size, seed=26))
+    assert bool(mask_calls) is calls
+
+
+@pytest.mark.parametrize("factory", PREFILTERED_SCHEMES)
+def test_short_batch_validation_stays_atomic(factory):
+    """A NaN anywhere in a short batch rejects the whole batch before
+    any point is ingested."""
+    h = factory()
+    h.insert_many(disk_stream(200, seed=27))
+    seen, hull, samples = h.points_seen, h.hull(), h.samples()
+    bad = disk_stream(5, seed=28)
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="row 3"):
+        h.insert_many(bad)
+    assert h.points_seen == seen
+    assert h.hull() == hull
+    assert h.samples() == samples
