@@ -52,10 +52,8 @@ def _workload():
     return drifting_clusters_stream(N, n_clusters=3, drift=0.2, seed=7)
 
 
-def _run_windowed(pts, warm_start=False):
-    w = WindowedHullSummary(
-        lambda: AdaptiveHull(R), last_n=LAST_N, warm_start=warm_start
-    )
+def _run_windowed(pts):
+    w = WindowedHullSummary(lambda: AdaptiveHull(R), last_n=LAST_N)
     buckets = []
     t0 = time.perf_counter()
     last_diam = 0.0
@@ -83,19 +81,9 @@ def _run_exact(pts):
 
 
 def test_window_vs_exact_baseline():
-    """Windowed ingest+query throughput, bucket growth, and error.
-
-    The headline run uses warm-started heads (the opt-in ingest
-    accelerator this workload exists to measure); the before/after
-    contrast re-runs the identical workload with the default cold
-    heads.  The error-bound assertion runs against the warm result —
-    on this benign drifting workload the seeds' sources stay covered,
-    so the strict bound must still hold.
-    """
+    """Windowed ingest+query throughput, bucket growth, and error."""
     pts = _workload()
-    w, w_elapsed, buckets, w_diam = _run_windowed(pts, warm_start=True)
-    # The warm-start before/after: identical workload, cold heads.
-    _, cold_elapsed, _, _ = _run_windowed(pts)
+    w, w_elapsed, buckets, w_diam = _run_windowed(pts)
     exact_hull, e_elapsed, e_diam = _run_exact(pts)
 
     view = w.merged_view()
@@ -112,18 +100,15 @@ def test_window_vs_exact_baseline():
     assert max(buckets) <= log_bound, (max(buckets), log_bound)
 
     w_rate = N / w_elapsed
-    cold_rate = N / cold_elapsed
     e_rate = N / e_elapsed
     lines = [
         f"{'variant':>24} {'rate':>16} {'memory':>24}",
-        f"{'windowed (warm, r=32)':>24} {w_rate:>12,.0f} p/s "
+        f"{'windowed (r=32)':>24} {w_rate:>12,.0f} p/s "
         f"{w.sample_size:>5} samples / {w.bucket_count} buckets",
-        f"{'windowed (cold heads)':>24} {cold_rate:>12,.0f} p/s",
         f"{'exact deque recompute':>24} {e_rate:>12,.0f} p/s "
         f"{LAST_N:>5} points",
         "",
         f"speedup           : {w_rate / e_rate:.2f}x",
-        f"warm-start speedup: {w_rate / cold_rate:.2f}x over cold heads",
         f"bucket count      : max {max(buckets)}, final {w.bucket_count} "
         f"(log bound {log_bound:.1f})",
         f"window diameter   : windowed {w_diam:.4f} vs exact {e_diam:.4f}",
@@ -144,8 +129,6 @@ def test_window_vs_exact_baseline():
             "batch": BATCH,
             "smoke": smoke(),
             "windowed_rate_points_per_sec": w_rate,
-            "windowed_cold_rate_points_per_sec": cold_rate,
-            "warm_start_speedup": w_rate / cold_rate,
             "exact_rate_points_per_sec": e_rate,
             "speedup_vs_exact": w_rate / e_rate,
             "bucket_count_max": max(buckets),

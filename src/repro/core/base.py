@@ -216,6 +216,13 @@ class HullSummary(abc.ABC):
         """
         return {}
 
+    @classmethod
+    def config_from_doc(cls, config: dict) -> dict:
+        """A stored :meth:`get_config` document as this scheme reads it
+        today; a scheme that retired an option drops (or refuses) it
+        here, so snapshot restore compares like with like."""
+        return config
+
     def state_dict(self) -> dict:
         """JSON-serialisable snapshot of the summary state.
 

@@ -60,16 +60,18 @@ def replay_into(engine, entries) -> dict:
             # A None watermark is omitted rather than passed: the
             # sharded tier logs None always (the parent recomputes its
             # own watermark) and its API has no watermark kwargs.
-            if kind == "batch":
-                _, _, keys, points, ts, watermark = entry
+            if kind in ("batch", "insert"):
+                if kind == "batch":
+                    _, _, keys, points, ts, watermark = entry
+                    keys = np.asarray(keys)
+                else:
+                    # Legacy single-record entry: a one-record batch.
+                    _, _, key, x, y, ts, watermark = entry
+                    keys, points = [key], [(x, y)]
+                    ts = None if ts is None else [ts]
                 kw = {} if watermark is None else {"watermark": watermark}
-                engine.ingest_arrays(np.asarray(keys), points, ts=ts, **kw)
+                engine.ingest_arrays(keys, points, ts=ts, **kw)
                 records += len(points)
-            elif kind == "insert":
-                _, _, key, x, y, ts, watermark = entry
-                kw = {} if watermark is None else {"watermark": watermark}
-                engine.insert(key, x, y, ts=ts, **kw)
-                records += 1
             elif kind == "advance":
                 _, _, now, watermark = entry
                 if watermark is None:

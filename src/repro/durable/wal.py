@@ -1,8 +1,8 @@
 """Write-ahead batch log: checksummed segment files + snapshot compaction.
 
 The engines are deterministic, so durability reduces to *logging the
-inputs*: every acknowledged mutation (``ingest_arrays`` batch,
-``insert``, ``advance_time``) is appended to an append-only segment
+inputs*: every acknowledged mutation (an ``ingest_arrays`` batch —
+``insert`` is a one-record batch — or an ``advance_time``) is appended to an append-only segment
 file before the caller sees the ack, and recovery is "load the latest
 snapshot, re-ingest the tail" — bit-identical to never having crashed.
 
@@ -18,7 +18,10 @@ skeleton plus raw array bytes, no per-point encoding.  Entry kinds:
 - ``("meta", doc)`` — engine configuration (spec/window/tier), written
   once at log creation and re-carried inside every snapshot.
 - ``("batch", keys, points, ts, watermark)`` — one ingest_arrays call.
-- ``("insert", key, x, y, ts, watermark)`` — one insert call.
+- ``("insert", key, x, y, ts, watermark)`` — legacy, read-only: logs
+  written before ``insert`` became a one-record batch carry these;
+  recovery replays each as a one-record ``ingest_arrays``.  Nothing
+  writes them any more.
 - ``("advance", now, watermark)`` — one advance_time call.
 
 Segments are named ``wal-<first_seq>.log`` and rotated at
@@ -515,9 +518,6 @@ class WalWriter:
 
     def append_batch(self, keys, points, ts=None, watermark=None) -> int:
         return self.append("batch", keys, points, ts, watermark)
-
-    def append_insert(self, key, x, y, ts=None, watermark=None) -> int:
-        return self.append("insert", key, float(x), float(y), ts, watermark)
 
     def append_advance(self, now, watermark=None) -> int:
         return self.append("advance", float(now), watermark)

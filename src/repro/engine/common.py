@@ -27,13 +27,21 @@ logic that must not drift between them lives here:
   ``merged_hull`` / ``diameter`` / ``width`` from ``merged_summary``,
   so every tier answers the Section 6 global queries identically;
 * **snapshot headers** — :func:`check_snapshot_doc` validates the
-  format/version header every engine snapshot carries.
+  format/version header every engine snapshot carries;
+* **engine plumbing** — the :class:`EngineBase` base class holds what
+  both tiers would otherwise copy line for line: the event-time setup,
+  write-ahead-log attachment and compaction, ``snapshot(path)``, the
+  context manager, the ``advance_time`` prologue, and ``insert`` (a
+  one-record :meth:`ingest_arrays` batch, so each tier has one ingest
+  path).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -50,6 +58,7 @@ import numpy as np
 
 from ..geometry.vec import Point
 from ..obs import metrics as _obs
+from .time import EventClock, TimePolicy
 
 __all__ = [
     "BaseStats",
@@ -57,6 +66,7 @@ __all__ = [
     "SubscriberAPI",
     "ExtentQueryAPI",
     "EventTimeAPI",
+    "EngineBase",
     "split_records",
     "key_index_runs",
     "unique_key_inverse",
@@ -241,7 +251,8 @@ class EventTimeAPI:
     The host engine sets ``self._event_clock`` (an
     :class:`~repro.engine.time.EventClock`, or None under the strict
     policy) and ``self._late_drops`` (the per-key count-and-drop
-    ledger) — the watermark translation and the late accounting then
+    ledger), both through :meth:`EngineBase._init_event_time` — the
+    watermark translation and the late accounting then
     cannot drift between the tiers.  An engine may also set
     ``self._on_late`` (the dead-letter hook): every late batch slice is
     then handed to the callback as ``(key, points, ts, watermark)``
@@ -299,6 +310,153 @@ class EventTimeAPI:
         )
         hook(key, pts, ts_run, self.watermark)
         _obs.DEAD_LETTER_RECORDS.inc(count)
+
+
+class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
+    """Base class of both engine tiers: the plumbing they share.
+
+    A tier sets ``self.window`` and calls :meth:`_init_event_time` in
+    its constructor, and implements ``ingest_arrays``, ``close``,
+    ``snapshot_state`` and ``_wal_meta``; everything here is defined
+    once in terms of those.
+    """
+
+    _wal = None
+    _dead_letter_log = None
+
+    def _init_event_time(self, on_late) -> None:
+        """Event-time policy: strict monotonic unless the window opts
+        into bounded lateness, in which case the engine owns the
+        watermark clock.  ``on_late`` (or the window's own hook) needs
+        a bounded-lateness window."""
+        self.time_policy = (
+            self.window.time_policy
+            if self.window is not None and self.window.timed
+            else TimePolicy.strict()
+        )
+        self._event_clock: Optional[EventClock] = (
+            EventClock(self.time_policy.max_delay)
+            if self.time_policy.bounded
+            else None
+        )
+        hook = on_late if on_late is not None else (
+            self.window.on_late if self.window is not None else None
+        )
+        if hook is not None and not self.time_policy.bounded:
+            raise ValueError(
+                "on_late requires a bounded-lateness window (max_delay)"
+            )
+        self._on_late = hook
+        self._late_drops: Dict[Hashable, int] = {}
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _close_logs(self) -> None:
+        """Seal the write-ahead and dead-letter logs, if attached."""
+        if self._wal is not None:
+            self._wal.close()
+        if self._dead_letter_log is not None:
+            self._dead_letter_log.close()
+
+    # -- durability --------------------------------------------------------
+
+    @property
+    def wal(self):
+        """The attached :class:`~repro.durable.WalWriter`, or None."""
+        return self._wal
+
+    def attach_durability(self, durability, *, require_empty: bool = False):
+        """Attach a write-ahead log (and, for bounded-lateness windows,
+        a dead-letter log) to an already-built engine.
+
+        This is the recovery half of the ``durability=`` constructor
+        kwarg: :func:`repro.durable.recover_engine` replays the log
+        first and then attaches a continuing writer, so replayed
+        entries are never re-appended.  ``durability`` may be a
+        :class:`~repro.durable.DurabilityConfig` or a bare directory;
+        ``require_empty`` refuses a directory that already holds a log
+        (the constructor path: silently appending to someone else's
+        log is never right there).
+        """
+        from ..durable.deadletter import attach_dead_letters
+        from ..durable.wal import DurabilityConfig, WalError, WalWriter
+
+        if self._wal is not None:
+            raise WalError("durability is already attached")
+        config = (
+            durability
+            if isinstance(durability, DurabilityConfig)
+            else DurabilityConfig(durability)
+        )
+        self._wal = WalWriter(
+            config, meta=self._wal_meta(), require_empty=require_empty
+        )
+        if config.dead_letters:
+            self._dead_letter_log = attach_dead_letters(self, config.path)
+        return self._wal
+
+    def _maybe_compact(self) -> None:
+        if self._wal is not None and self._wal.should_compact():
+            self._wal.write_snapshot(self.snapshot_state())
+
+    # -- ingestion / time ----------------------------------------------------
+
+    def insert(
+        self, key: Hashable, x: float, y: float, ts: Optional[float] = None
+    ) -> bool:
+        """Route a single record; returns True if a summary changed.
+
+        A one-record :meth:`ingest_arrays` batch: the same validation,
+        write-ahead logging, lateness judgment, notification and
+        counters (it counts as one batch).  ``ts`` is the record's
+        event time — required on a time-based window, rejected on an
+        unwindowed engine.  Under bounded lateness the record may only
+        be buffered, so the return value reflects changes applied by
+        releases during *this* call.
+        """
+        ts_run = None if ts is None else [ts]
+        return self.ingest_arrays([key], [(x, y)], ts=ts_run) > 0
+
+    def _begin_advance(self, now, watermark: Optional[float] = None) -> float:
+        """The ``advance_time`` prologue: reject engines without a time
+        window and non-finite ``now`` before any side effect, then log
+        the heartbeat — expiry and watermark advances mutate state, so
+        a recovery that skipped them would diverge the moment a bucket
+        aged out."""
+        if self.window is None or not self.window.timed:
+            raise ValueError(
+                "advance_time requires an engine with a time-based window"
+            )
+        now = float(now)
+        if not math.isfinite(now):
+            raise ValueError("advance_time requires a finite timestamp")
+        if self._wal is not None:
+            self._wal.append_advance(now, watermark)
+        return now
+
+    # -- snapshots -----------------------------------------------------------
+
+    @staticmethod
+    def _check_snapshot_key(key: Hashable) -> None:
+        """Snapshot keys must be JSON scalars: hash-only keys cannot
+        round-trip a text format (``json.dumps`` would silently turn a
+        tuple into an unhashable list)."""
+        if not isinstance(key, (str, int, float, bool)):
+            raise TypeError(
+                f"snapshot keys must be JSON scalars, got {type(key).__name__}"
+            )
+
+    def snapshot(self, path) -> Path:
+        """Serialise :meth:`snapshot_state` to one JSON file."""
+        path = Path(path)
+        path.write_text(json.dumps(self.snapshot_state()), encoding="utf-8")
+        return path
 
 
 def split_records(

@@ -57,7 +57,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.base import HullSummary, coerce_point
+from ..core.base import HullSummary
 from ..core.batch import as_key_array, as_point_array, as_ts_array
 from ..geometry.vec import Point
 from ..obs import metrics as OBS
@@ -67,9 +67,7 @@ from ..streams.io import summary_from_state, summary_state
 from ..window import WindowConfig, windowed_factory
 from .common import (
     BaseStats,
-    EventTimeAPI,
-    ExtentQueryAPI,
-    SubscriberAPI,
+    EngineBase,
     Subscription,
     canonical_key_order,
     check_snapshot_doc,
@@ -77,7 +75,7 @@ from .common import (
     split_records,
     validate_ts_batch,
 )
-from .time import EventClock, ReorderBuffer, TimePolicy, late_split
+from .time import ReorderBuffer, late_split
 
 __all__ = ["StreamEngine", "EngineStats", "Subscription"]
 
@@ -113,7 +111,7 @@ class EngineStats(BaseStats):
         )
 
 
-class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
+class StreamEngine(EngineBase):
     """Thousands of keyed hull summaries behind one batch front door.
 
     Args:
@@ -176,30 +174,11 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             self._factory = windowed_factory(factory, self.window)
         else:
             self._factory = factory
-        # Event-time policy: strict monotonic unless the window opts
-        # into bounded lateness, in which case the engine owns the
-        # watermark clock and one reorder buffer per key (the window
-        # summaries themselves stay strictly monotonic and untouched).
-        self.time_policy = (
-            self.window.time_policy
-            if self.window is not None and self.window.timed
-            else TimePolicy.strict()
-        )
-        self._event_clock: Optional[EventClock] = (
-            EventClock(self.time_policy.max_delay)
-            if self.time_policy.bounded
-            else None
-        )
-        hook = on_late if on_late is not None else (
-            self.window.on_late if self.window is not None else None
-        )
-        if hook is not None and not self.time_policy.bounded:
-            raise ValueError(
-                "on_late requires a bounded-lateness window (max_delay)"
-            )
-        self._on_late = hook
+        # Under bounded lateness the engine owns the watermark clock and
+        # one reorder buffer per key (the window summaries themselves
+        # stay strictly monotonic and untouched).
+        self._init_event_time(on_late)
         self._buffers: Dict[Hashable, ReorderBuffer] = {}
-        self._late_drops: Dict[Hashable, int] = {}
         self._summaries: Dict[Hashable, HullSummary] = {}
         self._subscriptions: List[Subscription] = []
         self._tracker_bindings: Dict[Hashable, List] = {}
@@ -212,18 +191,10 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         # stats survive LRU churn.
         self._retired_bucket_merges = 0
         self._retired_bucket_expiries = 0
-        self._wal = None
-        self._dead_letter_log = None
         if durability is not None:
             self.attach_durability(durability, require_empty=True)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def __enter__(self) -> "StreamEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    # -- lifecycle / durability --------------------------------------------
 
     def close(self) -> None:
         """Release engine resources: seal the write-ahead and
@@ -231,17 +202,7 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         for the in-process tier, here for
         :class:`~repro.engine.protocol.EngineProtocol` lifecycle
         symmetry with the sharded tier)."""
-        if self._wal is not None:
-            self._wal.close()
-        if self._dead_letter_log is not None:
-            self._dead_letter_log.close()
-
-    # -- durability --------------------------------------------------------
-
-    @property
-    def wal(self):
-        """The attached :class:`~repro.durable.WalWriter`, or None."""
-        return self._wal
+        self._close_logs()
 
     def _wal_meta(self) -> dict:
         """Engine configuration captured into the log, so recovery can
@@ -255,37 +216,6 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             else None,
             "window": self.window.to_doc() if self.window is not None else None,
         }
-
-    def attach_durability(self, durability, *, require_empty: bool = False):
-        """Attach a write-ahead log (and, for bounded-lateness windows,
-        a dead-letter log) to an already-built engine.
-
-        This is the recovery half of the ``durability=`` constructor
-        kwarg: :func:`repro.durable.recover_stream_engine` replays the
-        log first and then attaches a continuing writer, so replayed
-        entries are never re-appended.  ``durability`` may be a
-        :class:`~repro.durable.DurabilityConfig` or a bare directory.
-        """
-        from ..durable.deadletter import attach_dead_letters
-        from ..durable.wal import DurabilityConfig, WalError, WalWriter
-
-        if self._wal is not None:
-            raise WalError("durability is already attached")
-        config = (
-            durability
-            if isinstance(durability, DurabilityConfig)
-            else DurabilityConfig(durability)
-        )
-        self._wal = WalWriter(
-            config, meta=self._wal_meta(), require_empty=require_empty
-        )
-        if config.dead_letters:
-            self._dead_letter_log = attach_dead_letters(self, config.path)
-        return self._wal
-
-    def _maybe_compact(self) -> None:
-        if self._wal is not None and self._wal.should_compact():
-            self._wal.write_snapshot(self.snapshot_state())
 
     # -- keyed access ------------------------------------------------------
 
@@ -430,8 +360,9 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         same cut no matter how keys are sharded.
 
         Raises:
-            ValueError: when the engine has no time-based window, or
-                ``watermark`` is passed under the strict policy.
+            ValueError: when the engine has no time-based window, on a
+                non-finite ``now`` (both before anything is logged), or
+                when ``watermark`` is passed under the strict policy.
         """
         return self.advance_time_detail(now, watermark=watermark)[0]
 
@@ -442,18 +373,7 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         expired buckets (or received flushed records) — what a shard
         worker ships to the parent so ring-level subscribers see the
         same notifications as local ones."""
-        if self.window is None or not self.window.timed:
-            raise ValueError(
-                "advance_time requires an engine with a time-based window"
-            )
-        now = float(now)
-        if not math.isfinite(now):
-            raise ValueError("advance_time requires a finite timestamp")
-        if self._wal is not None:
-            # Expiry and watermark advances mutate state too: a
-            # recovery that skipped them would diverge from the live
-            # engine the moment a bucket aged out.
-            self._wal.append_advance(now, watermark)
+        now = self._begin_advance(now, watermark)
         if self._event_clock is None:
             if watermark is not None:
                 raise ValueError(
@@ -529,93 +449,7 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
 
     # -- ingestion ---------------------------------------------------------
 
-    def insert(
-        self,
-        key: Hashable,
-        x: float,
-        y: float,
-        ts: Optional[float] = None,
-        watermark: Optional[float] = None,
-    ) -> bool:
-        """Route a single record; returns True if a summary changed.
-
-        ``ts`` is the record's event time — required per record on an
-        engine with a time-based window, rejected on an unwindowed
-        engine.  Under bounded lateness the record is buffered until
-        the watermark passes it (a record later than the watermark is
-        counted and dropped, with the subscriber notified), so the
-        return value reflects changes applied by releases during
-        *this* call; ``watermark`` is the shard tier's internal hook
-        (the record was pre-screened and the global watermark computed
-        parent-side).
-        """
-        # Validate the whole record first: a rejected record must not
-        # touch the LRU order, create the key, or evict a victim.
-        p = coerce_point((x, y))
-        if ts is not None:
-            if self.window is None:
-                raise ValueError("ts requires a windowed engine")
-            ts = float(ts)
-            if not np.isfinite(ts):
-                raise ValueError("ts must be finite")
-        if self.window is not None and ts is None and self.window.timed:
-            raise ValueError(
-                "time-based windows require an explicit ts per insert"
-            )
-        if self._wal is not None:
-            self._wal.append_insert(key, p[0], p[1], ts, watermark)
-        if self._event_clock is not None:
-            changed = self._insert_bounded(key, p, ts, watermark)
-            self._maybe_compact()
-            return changed
-        if watermark is not None:
-            raise ValueError("watermark requires a bounded-lateness window")
-        if self.window is not None and ts is not None:
-            live = self._summaries.get(key)
-            last = live.last_ts if live is not None else None
-            if last is not None and ts < last:
-                raise ValueError(
-                    f"timestamps must be non-decreasing: got {ts} after {last}"
-                )
-        self._touch(key)
-        summary = self.summary(key)
-        if ts is None:
-            changed = summary.insert(p)
-        else:
-            changed = summary.insert(p, ts=ts)
-        self.points_ingested += 1
-        OBS.ENGINE_INGEST_RECORDS.inc()
-        self._notify({key})
-        self._maybe_compact()
-        return changed
-
-    def _insert_bounded(
-        self,
-        key: Hashable,
-        p: Tuple[float, float],
-        ts: float,
-        ext_watermark: Optional[float],
-    ) -> bool:
-        """Single-record bounded-lateness path: judge against the
-        watermark, buffer, release what became final."""
-        if ext_watermark is None:
-            if ts < self._event_clock.watermark:
-                self._record_late(key, 1, points=(p,), ts=(ts,))
-                self._notify({key})
-                return False
-            wm = self._event_clock.observe(ts)
-        else:
-            wm = self._event_clock.observe_watermark(float(ext_watermark))
-        buf = self._buffers.setdefault(key, ReorderBuffer())
-        buf.add(np.asarray([p], dtype=np.float64), np.asarray([ts]))
-        changed = False
-        released = buf.release(wm)
-        if released is not None:
-            changed = self._apply_released(key, released[0], released[1]) > 0
-        self.points_ingested += 1
-        OBS.ENGINE_INGEST_RECORDS.inc()
-        self._notify({key})
-        return changed
+    # ``insert`` comes from EngineBase: a one-record ``ingest_arrays``.
 
     def ingest(
         self, records: Iterable[Tuple[Hashable, float, float]], chunk: int = 4096
@@ -997,20 +831,6 @@ class StreamEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
                 "late_drops": late,
             }
         return doc
-
-    @staticmethod
-    def _check_snapshot_key(key: Hashable) -> None:
-        if not isinstance(key, (str, int, float, bool)):
-            raise TypeError(
-                f"snapshot keys must be JSON scalars, got {type(key).__name__}"
-            )
-
-    def snapshot(self, path: PathLike) -> Path:
-        """Serialise every live summary to a JSON snapshot file (see
-        :meth:`snapshot_state` for the document and key constraints)."""
-        path = Path(path)
-        path.write_text(json.dumps(self.snapshot_state()), encoding="utf-8")
-        return path
 
     @classmethod
     def from_snapshot_state(

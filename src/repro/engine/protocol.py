@@ -9,8 +9,10 @@ the protocol and take either tier (windowed or not) as a drop-in.
 
 The contract, grouped by concern:
 
-* **ingestion** — ``insert`` (one record), ``ingest`` (record tuples),
-  ``ingest_arrays`` (parallel keys + ``(n, 2)`` block); windowed
+* **ingestion** — ``insert`` (one record: a one-record
+  ``ingest_arrays`` batch on both tiers, counted as a batch),
+  ``ingest`` (record tuples), ``ingest_arrays`` (parallel keys +
+  ``(n, 2)`` block); windowed
   engines accept per-record ``ts`` and reject malformed batches
   atomically (no key touched on failure);
 * **time** — ``advance_time(now)`` expires stale window buckets with
@@ -107,7 +109,8 @@ class EngineProtocol(Protocol):
     def insert(
         self, key: Hashable, x: float, y: float, ts: Optional[float] = None
     ) -> bool:
-        """Route one record; True if the key's summary changed."""
+        """Route one record as a one-record batch; True if the key's
+        summary changed."""
         ...
 
     def ingest(self, records: Iterable[tuple]) -> int:

@@ -176,7 +176,6 @@ WAL_APPENDS = Counter(
     ("kind",),
 )
 WAL_APPEND_BATCH = WAL_APPENDS.labels("batch")
-WAL_APPEND_INSERT = WAL_APPENDS.labels("insert")
 WAL_APPEND_ADVANCE = WAL_APPENDS.labels("advance")
 WAL_BYTES = Counter(
     "repro_wal_bytes_total",

@@ -27,8 +27,8 @@ reshuffle proportional to the resize.
 
 The ring implements the same
 :class:`~repro.engine.protocol.EngineProtocol` surface as the
-in-process tier — single-record ``insert``, parent-side standing-query
-``subscribe``, ``snapshot_state``/``from_snapshot_state``, and the
+in-process tier — single-record ``insert`` (a one-record batch),
+parent-side standing-query ``subscribe``, ``snapshot_state``/``from_snapshot_state``, and the
 ``merged_hull``/``diameter``/``width`` query folds — through the shared
 mixins in :mod:`repro.engine.common`, so the two tiers are drop-in
 interchangeable behind one contract.
@@ -57,20 +57,18 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from ..core.base import HullSummary, coerce_point, tree_merge
+from ..core.base import HullSummary, tree_merge
 from ..core.batch import as_key_array, as_point_array, as_ts_array
 from ..engine.common import (
     BaseStats,
-    EventTimeAPI,
-    ExtentQueryAPI,
-    SubscriberAPI,
+    EngineBase,
     Subscription,
     check_snapshot_doc,
     split_records,
     unique_key_inverse,
     validate_ts_batch,
 )
-from ..engine.time import EventClock, TimePolicy, late_split
+from ..engine.time import late_split
 from ..geometry.vec import Point
 from ..obs import merge_snapshots
 from ..obs import metrics as OBS
@@ -167,7 +165,7 @@ class _Lane:
         self.pending = 0
 
 
-class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
+class ShardedEngine(EngineBase):
     """Keyed hull summaries sharded across worker processes.
 
     Args:
@@ -254,25 +252,7 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         # lateness and computing the watermark here, before any shard
         # sees a record, is what keeps release order deterministic
         # across shard layouts and batch rejections atomic.
-        self.time_policy = (
-            self.window.time_policy
-            if self.window is not None and self.window.timed
-            else TimePolicy.strict()
-        )
-        self._event_clock: Optional[EventClock] = (
-            EventClock(self.time_policy.max_delay)
-            if self.time_policy.bounded
-            else None
-        )
-        hook = on_late if on_late is not None else (
-            self.window.on_late if self.window is not None else None
-        )
-        if hook is not None and not self.time_policy.bounded:
-            raise ValueError(
-                "on_late requires a bounded-lateness window (max_delay)"
-            )
-        self._on_late = hook
-        self._late_drops: Dict[Hashable, int] = {}
+        self._init_event_time(on_late)
         self.num_shards = shards
         self.ring = HashRing(shards, replicas=replicas)
         self.points_ingested = 0
@@ -328,8 +308,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         self.promotions: List[Dict] = []
         #: Resize events, oldest first (see :meth:`resize`).
         self.resize_events: List[Dict] = []
-        self._wal = None
-        self._dead_letter_log = None
         # Lane groups per shard; _conns/_pipes/_procs mirror the current
         # primaries (index = shard) for callers that reach into the ring.
         self._lanes: List[List[_Lane]] = []
@@ -392,12 +370,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:
             self.close()
@@ -413,10 +385,7 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         self._stop_lanes(
             [lane for lanes in getattr(self, "_lanes", []) for lane in lanes]
         )
-        if getattr(self, "_wal", None) is not None:
-            self._wal.close()
-        if getattr(self, "_dead_letter_log", None) is not None:
-            self._dead_letter_log.close()
+        self._close_logs()
 
     @staticmethod
     def _stop_lanes(lanes: Sequence[_Lane]) -> None:
@@ -441,10 +410,10 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
 
     # -- durability --------------------------------------------------------
 
-    @property
-    def wal(self):
-        """The attached :class:`~repro.durable.WalWriter`, or None."""
-        return self._wal
+    # ``attach_durability`` / ``wal`` come from EngineBase.  Batches are
+    # framed once, parent-side, before fan-out: one log covers the whole
+    # ring regardless of shard layout, and recovery may replay it onto
+    # any worker count.
 
     def _wal_meta(self) -> dict:
         return {
@@ -453,35 +422,6 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             "window": self.window.to_doc() if self.window else None,
             "shards": self.num_shards,
         }
-
-    def attach_durability(self, durability, *, require_empty: bool = False):
-        """Attach a write-ahead log (and dead-letter queue) to the ring.
-
-        Batches are framed once, parent-side, before fan-out — one log
-        covers the whole ring regardless of shard layout, and recovery
-        (:func:`~repro.durable.recover_sharded_engine`) may replay it
-        onto any worker count.  ``require_empty`` refuses a directory
-        that already holds a log (the constructor path: silently
-        appending to someone else's log is never right there)."""
-        from ..durable.deadletter import attach_dead_letters
-        from ..durable.wal import DurabilityConfig, WalError, WalWriter
-
-        if self._wal is not None:
-            raise WalError("engine already has a write-ahead log attached")
-        if not isinstance(durability, DurabilityConfig):
-            durability = DurabilityConfig(durability)
-        self._wal = WalWriter(
-            durability, meta=self._wal_meta(), require_empty=require_empty
-        )
-        if durability.dead_letters:
-            self._dead_letter_log = attach_dead_letters(
-                self, durability.wal_dir
-            )
-        return self._wal
-
-    def _maybe_compact(self) -> None:
-        if self._wal is not None and self._wal.should_compact():
-            self._wal.write_snapshot(self.snapshot_state())
 
     # -- worker RPC --------------------------------------------------------
 
@@ -699,65 +639,7 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
     # ring the late accounting is parent-side — a late record never
     # reaches a worker.
 
-    def insert(
-        self, key: Hashable, x: float, y: float, ts: Optional[float] = None
-    ) -> bool:
-        """Route a single record to its shard; True if the summary
-        changed.  ``ts`` is the record's event time — required on a
-        ring with a time-based window, rejected on an unwindowed one.
-        Validated parent-side first, so a malformed record raises here
-        without touching any worker.  Under bounded lateness a record
-        later than the ring watermark is counted and dropped here (the
-        subscriber is notified, no worker is touched); admitted
-        records ship together with the updated global watermark."""
-        p = coerce_point((x, y))
-        ts_arr = (
-            np.asarray([float(ts)], dtype=np.float64)
-            if ts is not None
-            else None
-        )
-        self._check_ring_ts(ts_arr, 1)
-        if self._wal is not None:
-            # Logged before the lateness verdict: a late record replays
-            # late (same parent-side judgment), so the recovered ring
-            # reproduces the drop counters too.
-            self._wal.append_insert(
-                key,
-                p[0],
-                p[1],
-                float(ts_arr[0]) if ts_arr is not None else None,
-                None,
-            )
-        if self._event_clock is not None:
-            ts = float(ts_arr[0])
-            if ts < self._event_clock.watermark:
-                self._record_late(key, 1, points=(p,), ts=(ts,))
-                self._notify({key})
-                return False
-            # Ship the *candidate* watermark; commit the clock only
-            # after the worker accepted, like the batch path.
-            wm = self._event_clock.peek(ts)
-            changed = bool(
-                self._call(
-                    self.shard_for(key), "insert", key, p[0], p[1], ts, wm
-                )
-            )
-            self._event_clock.observe(ts)
-            self.points_ingested += 1
-            OBS.SHARD_INGEST_RECORDS.inc()
-            self._notify({key})
-            self._maybe_compact()
-            return changed
-        changed = bool(
-            self._call(self.shard_for(key), "insert", key, p[0], p[1], ts)
-        )
-        if ts_arr is not None:
-            self._clock = float(ts_arr[0])
-        self.points_ingested += 1
-        OBS.SHARD_INGEST_RECORDS.inc()
-        self._notify({key})
-        self._maybe_compact()
-        return changed
+    # ``insert`` comes from EngineBase: a one-record ``ingest_arrays``.
 
     def ingest(
         self, records: Iterable[Tuple[Hashable, float, float]]
@@ -997,15 +879,11 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         bounded lateness ``now`` is the event-time heartbeat: the
         parent advances the global watermark and every worker flushes
         its reorder buffers up to it before expiring (so the keys
-        whose buffered records were released notify too)."""
-        if self.window is None or not self.window.timed:
-            raise ValueError(
-                "advance_time requires an engine with a time-based window"
-            )
-        now = float(now)
-        if self._wal is not None:
-            # Expiry mutates worker state, so the heartbeat must replay.
-            self._wal.append_advance(now, None)
+        whose buffered records were released notify too).  A ring
+        without a time-based window, or a non-finite ``now``, raises
+        ``ValueError`` in the parent before anything is logged or
+        broadcast."""
+        now = self._begin_advance(now)
         if self._event_clock is not None:
             wm = self._event_clock.peek(now)
             replies = self._broadcast("advance_time", now, wm)
@@ -1227,26 +1105,14 @@ class ShardedEngine(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             late = []
             for key, n in self._late_drops.items():
                 # Same constraint as summary keys: a key that only
-                # ever appeared as a late drop must still round-trip
-                # the text format (json.dumps would silently turn a
-                # tuple into an unhashable list).
-                if not isinstance(key, (str, int, float, bool)):
-                    raise TypeError(
-                        "snapshot keys must be JSON scalars, got "
-                        f"{type(key).__name__}"
-                    )
+                # ever appeared as a late drop must still round-trip.
+                self._check_snapshot_key(key)
                 late.append([key, n])
             doc["time"] = {
                 **self._event_clock.to_doc(),
                 "late_drops": late,
             }
         return doc
-
-    def snapshot(self, path: PathLike) -> Path:
-        """Serialise :meth:`snapshot_state` to one JSON file."""
-        path = Path(path)
-        path.write_text(json.dumps(self.snapshot_state()), encoding="utf-8")
-        return path
 
     @classmethod
     def from_snapshot_state(

@@ -3,7 +3,12 @@
 Each worker owns the summaries for the keys its shard was assigned and
 speaks a small request/reply protocol over a :mod:`multiprocessing`
 pipe: every message is a ``(op, *args)`` tuple, every reply is
-``("ok", result)`` or ``("err", message)``.
+``("ok", result)`` or ``("err", message)``.  The verbs are
+``ingest_arrays``, ``advance_time``, ``keys``, ``hull``,
+``summary_state``, ``merged_state``, ``stats``, ``snapshot_state``,
+``load_snapshot``, ``extract``, ``adopt``, ``adopt_buffer``, the
+``set_latency`` test hook and ``stop``; a ring's single-record
+``insert`` arrives as a one-record ``ingest_arrays``.
 
 **Frame protocol.**  Messages cross the pipe through the zero-copy
 transport layer (:mod:`repro.shard.transport`): a header frame (magic,
@@ -114,10 +119,6 @@ class _ShardServer:
         return self.engine.ingest_arrays(
             keys, points, ts=ts, watermark=watermark
         )
-
-    def op_insert(self, key, x, y, ts=None, watermark=None):
-        self._mutated()
-        return self.engine.insert(key, x, y, ts=ts, watermark=watermark)
 
     def op_advance_time(self, now, watermark=None):
         # The parent's subscribers need the keys whose windows expired

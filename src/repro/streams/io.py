@@ -177,9 +177,10 @@ def summary_from_state(snapshot: Dict, factory=None):
                 f"{type(summary).__name__}"
             )
         config = summary.get_config()
-        if config != snapshot["config"]:
+        stored = type(summary).config_from_doc(snapshot["config"])
+        if config != stored:
             raise ValueError(
-                f"snapshot {name} config {snapshot['config']!r} does not "
+                f"snapshot {name} config {stored!r} does not "
                 f"match factory config {config!r}; the restored summary "
                 "would stream under a different policy"
             )
@@ -187,7 +188,8 @@ def summary_from_state(snapshot: Dict, factory=None):
         registry = scheme_registry()
         if name not in registry:
             raise ValueError(f"unknown summary class {name!r}")
-        summary = registry[name](**snapshot["config"])
+        cls = registry[name]
+        summary = cls(**cls.config_from_doc(snapshot["config"]))
     summary.load_state(snapshot["state"])
     return summary
 

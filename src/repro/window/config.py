@@ -15,7 +15,28 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-__all__ = ["WindowConfig"]
+__all__ = ["WindowConfig", "without_warm_start"]
+
+
+def without_warm_start(doc: Dict) -> Dict:
+    """``doc`` minus the removed ``warm_start`` option.
+
+    Docs written before the option was removed carry
+    ``warm_start: false`` (the default) and load unchanged.  A doc
+    written with warm-started heads is refused: its buckets hold what
+    the seed hulls let through, which cold heads cannot replay
+    bit-identically.
+
+    Raises:
+        ValueError: when ``doc`` sets ``warm_start`` true.
+    """
+    if doc.get("warm_start"):
+        raise ValueError(
+            "the warm_start window option was removed (it broke the strict "
+            "window error bound); a doc written with warm_start=true cannot "
+            "be restored"
+        )
+    return {k: v for k, v in doc.items() if k != "warm_start"}
 
 
 @dataclass(frozen=True)
@@ -48,21 +69,6 @@ class WindowConfig:
             sorted runs once the watermark (``max ts - max_delay``)
             passes, while records later than the watermark are counted
             and dropped.  See :mod:`repro.engine.time`.
-        warm_start: opt-in ingest accelerator — seed every fresh head
-            bucket with the previous bucket's hull vertices so the
-            young hull's containment filter starts hot.  The seeds are
-            purged when the head seals and when their source bucket
-            expires, so the windowed hull stays a sound inner
-            approximation (it never serves an expired point).  The
-            trade-off: genuine points discarded *because* the seed
-            hull covered them are not stored, so after the seed source
-            expires the window's error bound against the exact live
-            window hull can transiently exceed the cold-head bound —
-            by at most the expired bucket's extent, self-healing once
-            the seeded bucket itself expires.  Off by default: the
-            strict Theorem 5.4-style window bound is the library's
-            headline guarantee.  See
-            :class:`~repro.window.WindowedHullSummary`.
         on_late: optional dead-letter callback
             ``callback(key, points, ts, watermark)`` the hosting engine
             invokes with each key's later-than-watermark slice before
@@ -78,7 +84,6 @@ class WindowConfig:
     horizon: Optional[float] = None
     head_capacity: Optional[int] = None
     level_width: int = 2
-    warm_start: bool = False
     max_delay: Optional[float] = None
     on_late: Optional[Callable] = field(default=None, compare=False)
 
@@ -158,20 +163,20 @@ class WindowConfig:
             "horizon": self.horizon,
             "head_capacity": self.head_capacity,
             "level_width": self.level_width,
-            "warm_start": self.warm_start,
             "max_delay": self.max_delay,
         }
 
     @classmethod
     def from_doc(cls, doc: Dict) -> "WindowConfig":
-        """Inverse of :meth:`to_doc` (pre-warm-start docs were cold,
-        pre-event-time docs were strict)."""
+        """Inverse of :meth:`to_doc` (pre-event-time docs were strict;
+        see :func:`without_warm_start` for docs naming the removed
+        ``warm_start`` option)."""
+        doc = without_warm_start(doc)
         max_delay = doc.get("max_delay")
         return cls(
             last_n=doc.get("last_n"),
             horizon=doc.get("horizon"),
             head_capacity=doc.get("head_capacity"),
             level_width=int(doc.get("level_width", 2)),
-            warm_start=bool(doc.get("warm_start", False)),
             max_delay=float(max_delay) if max_delay is not None else None,
         )

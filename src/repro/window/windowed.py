@@ -57,7 +57,7 @@ from ..core.batch import DEFAULT_CHUNK, as_point_array, as_ts_array
 from ..geometry.vec import Point, dot, unit
 from ..obs import metrics as OBS
 from ..streams.io import summary_from_state, summary_state
-from .config import WindowConfig
+from .config import WindowConfig, without_warm_start
 
 __all__ = ["WindowedHullSummary", "windowed_factory"]
 
@@ -154,7 +154,6 @@ def windowed_factory(scheme, config: WindowConfig):
             horizon=config.horizon,
             head_capacity=config.head_capacity,
             level_width=config.level_width,
-            warm_start=config.warm_start,
         )
 
     return build
@@ -192,14 +191,12 @@ class WindowedHullSummary(HullSummary):
         horizon: Optional[float] = None,
         head_capacity: Optional[int] = None,
         level_width: int = 2,
-        warm_start: bool = False,
     ):
         self._cfg = WindowConfig(
             last_n=last_n,
             horizon=horizon,
             head_capacity=head_capacity,
             level_width=level_width,
-            warm_start=warm_start,
         )
         self._spec = _coerce_scheme(scheme)
         self._head_capacity = self._cfg.effective_head_capacity
@@ -213,13 +210,6 @@ class WindowedHullSummary(HullSummary):
         self._sealed_total = 0
         self._head: HullSummary = self._spec.build()
         self._head_count = 0
-        # Warm-start bookkeeping: the previous bucket's hull vertices
-        # offered to the fresh head, and the (live) bucket they came
-        # from.  Seeds are purged the moment the head seals or the
-        # source bucket leaves the window, so they can never outlive
-        # the stream points they are.
-        self._head_seeds: Optional[frozenset] = None
-        self._head_seed_bucket: Optional[_Bucket] = None
         self._head_start_ts: Optional[float] = None
         self._head_end_ts: Optional[float] = None
         self._now: Optional[float] = None
@@ -296,10 +286,13 @@ class WindowedHullSummary(HullSummary):
         """
         p = coerce_point(p)
         ts = self._check_ts(ts)
+        # ``ts > start + cap`` (not ``ts - start > cap``): the same
+        # float comparison insert_many's searchsorted makes, so both
+        # paths seal at the same point.
         if (
             self._span_cap is not None
             and self._head_count
-            and ts - self._head_start_ts > self._span_cap
+            and ts > self._head_start_ts + self._span_cap
         ):
             self._seal_head()
         changed = self._head.insert(p)
@@ -469,6 +462,12 @@ class WindowedHullSummary(HullSummary):
         cfg.pop("max_delay", None)
         return {"scheme": self._spec.to_doc(), **cfg}
 
+    @classmethod
+    def config_from_doc(cls, config: Dict) -> Dict:
+        """A stored config minus the removed ``warm_start`` option
+        (see :func:`~repro.window.config.without_warm_start`)."""
+        return without_warm_start(config)
+
     def state_dict(self) -> Dict:
         """JSON-serialisable snapshot: every bucket in the
         :mod:`repro.streams.io` summary format plus the window ledger."""
@@ -484,16 +483,6 @@ class WindowedHullSummary(HullSummary):
                 "end_ts": self._head_end_ts,
                 "state": summary_state(self._head),
             },
-            "head_seeds": (
-                sorted([p[0], p[1]] for p in self._head_seeds)
-                if self._head_seeds is not None
-                else None
-            ),
-            "head_seed_bucket": (
-                self._sealed.index(self._head_seed_bucket)
-                if self._head_seed_bucket is not None
-                else None
-            ),
             "sealed": [
                 {
                     "count": b.count,
@@ -527,16 +516,6 @@ class WindowedHullSummary(HullSummary):
         self._head_count = int(head["count"])
         self._head_start_ts = head["start_ts"]
         self._head_end_ts = head["end_ts"]
-        seeds = state.get("head_seeds")
-        seed_idx = state.get("head_seed_bucket")
-        if seeds is not None and seed_idx is not None:
-            self._head_seeds = frozenset(
-                (float(p[0]), float(p[1])) for p in seeds
-            )
-            self._head_seed_bucket = self._sealed[int(seed_idx)]
-        else:
-            self._head_seeds = None
-            self._head_seed_bucket = None
         self._now = state["now"]
         self.points_seen = int(state["points_seen"])
         self.buckets_sealed = int(state["buckets_sealed"])
@@ -598,26 +577,21 @@ class WindowedHullSummary(HullSummary):
     def _seal_head(self) -> None:
         if self._head_count == 0:
             return
-        # Seeds never enter a sealed bucket: the sealed summary must
-        # hold only its own segment's points, or expiry would serve
-        # foreign (possibly already-forgotten) extremes.
-        self._purge_head_seeds()
-        bucket = _Bucket(
-            self._head,
-            self._head_count,
-            0,
-            self._head_start_ts,
-            self._head_end_ts,
+        self._sealed.append(
+            _Bucket(
+                self._head,
+                self._head_count,
+                0,
+                self._head_start_ts,
+                self._head_end_ts,
+            )
         )
-        self._sealed.append(bucket)
         self._sealed_total += self._head_count
         self._reset_head()
         self.buckets_sealed += 1
         OBS.WINDOW_BUCKET_SEALS.inc()
         self._sealed_cache = None
         self._bump_generation()
-        if self._cfg.warm_start:
-            self._seed_head(bucket)
         self._coalesce()
 
     def _reset_head(self) -> None:
@@ -625,60 +599,6 @@ class WindowedHullSummary(HullSummary):
         self._head_count = 0
         self._head_start_ts = None
         self._head_end_ts = None
-        self._head_seeds = None
-        self._head_seed_bucket = None
-
-    def _seed_head(self, source: _Bucket) -> None:
-        """Warm-start the fresh head with the previous bucket's hull.
-
-        A cold head's young hull mutates on most incoming points (the
-        ~4x ingest gap the ROADMAP names); offering the just-sealed
-        bucket's hull vertices first gives the containment filter a
-        full-size hull immediately, so the bulk of the next segment is
-        discarded vectorised.  The seeds are genuine live stream points
-        (they belong to ``source``, which is live); they are tracked so
-        :meth:`_purge_head_seeds` can remove them before they could
-        outlive their bucket.
-
-        The inherent trade-off (why ``warm_start`` is opt-in): a
-        genuine point discarded because the *seed* hull covered it is
-        never stored, so its coverage rests on the seed source bucket;
-        once that bucket expires, the window's error against the exact
-        live-window hull can transiently exceed the cold-head bound —
-        by at most the expired bucket's extent, healing once the
-        seeded bucket itself expires.  Soundness is never affected:
-        every served vertex is a live input point.
-        """
-        seeds = source.summary.hull()
-        if len(seeds) < 3:
-            return  # a degenerate hull certifies nothing — stay cold
-        self._head.insert_many(seeds)
-        self._head_seeds = frozenset(seeds)
-        self._head_seed_bucket = source
-
-    def _purge_head_seeds(self) -> None:
-        """Rebuild the open head from its genuine samples only.
-
-        Called when the head seals and when the seeds' source bucket
-        leaves the window.  Every retained sample is a genuine input
-        point of the head's own segment afterwards, which is what keeps
-        the windowed hull an inner approximation of the *live* points.
-        Genuine points the seeded filter already discarded are gone
-        (see :meth:`_seed_head` for the coverage trade-off); a genuine
-        point exactly equal to a seed is likewise dropped — both are
-        strictly conservative losses, never unsound ones.
-        """
-        if self._head_seeds is None:
-            return
-        seeds = self._head_seeds
-        self._head_seeds = None
-        self._head_seed_bucket = None
-        genuine = [s for s in self._head.samples() if s not in seeds]
-        fresh = self._spec.build()
-        if genuine:
-            fresh.insert_many(genuine)
-        self._head = fresh
-        self._bump_generation()
 
     def _can_merge(self, older: _Bucket, newer: _Bucket) -> bool:
         if (
@@ -719,11 +639,6 @@ class WindowedHullSummary(HullSummary):
                 if newer.end_ts is not None:
                     older.end_ts = newer.end_ts
                 older.level += 1
-                if newer is self._head_seed_bucket:
-                    # The seeds' source segment now lives inside the
-                    # absorbing bucket; follow it so the purge-on-expiry
-                    # trigger keeps firing at the right moment.
-                    self._head_seed_bucket = older
                 del self._sealed[i + 1]
                 self.buckets_merged += 1
                 OBS.WINDOW_BUCKET_MERGES.inc()
@@ -769,10 +684,6 @@ class WindowedHullSummary(HullSummary):
         self.buckets_expired += 1
         OBS.WINDOW_BUCKET_EXPIRIES.inc()
         self._sealed_cache = None
-        if b is self._head_seed_bucket:
-            # The head's seeds just left the window with their bucket:
-            # purge them so the head can never serve expired points.
-            self._purge_head_seeds()
         self._bump_generation()
 
     def _sealed_merged(self) -> HullSummary:

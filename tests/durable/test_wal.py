@@ -48,7 +48,8 @@ class TestAppendIter:
                 np.array([5.0, 6.0]),
                 7.5,
             )
-            wal.append_insert("k", 1.5, -2.5, 9.0, 8.0)
+            # Legacy single-record kind: still framed and read back.
+            wal.append("insert", "k", 1.5, -2.5, 9.0, 8.0)
             wal.append_advance(10.0, 9.5)
         entries = list(iter_entries(tmp_path / "wal"))
         kinds = [e[1] for e in entries]
@@ -103,7 +104,7 @@ class TestRotation:
     def test_rotates_at_segment_bytes(self, tmp_path):
         with WalWriter(cfg(tmp_path, segment_bytes=1024)) as wal:
             for i in range(64):
-                wal.append_insert(f"key-{i}", float(i), float(i), None, None)
+                wal.append("insert", f"key-{i}", float(i), float(i), None, None)
         segments = list_segments(tmp_path / "wal")
         assert len(segments) > 1
         # Segment names carry the first sequence they hold, contiguously.

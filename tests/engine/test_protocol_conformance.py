@@ -11,6 +11,7 @@ bit-identical on a single-shard ring and bound-compatible across a
 multi-shard one (merge order differs across shards by design).
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.engine import EngineProtocol, PROTOCOL_MEMBERS, StreamEngine
 from repro.experiments.metrics import hull_distance
 from repro.shard import ShardedEngine, SummarySpec
 from repro.streams import bounded_shuffle, drifting_clusters_stream
+from repro.streams.io import summary_state
 from repro.window import WindowConfig
 
 R = 8
@@ -415,3 +417,152 @@ def test_subscribe_filter_and_cancel(tier):
         assert engine.ingest_arrays([], np.empty((0, 2))) == 0
         assert engine.stats().batches_ingested == before
         assert all_seen[-1] == ["a"]
+
+
+# -- insert is a one-record batch ------------------------------------------
+
+#: Scheme specs for the insert-equivalence matrix (the stream tier
+#: builds from the same spec, so both tiers run identical summaries).
+EQUIV_SCHEMES = {
+    "adaptive": SummarySpec("AdaptiveHull", {"r": R}),
+    "uniform": SummarySpec("UniformHull", {"r": R}),
+    "fixed": SummarySpec("FixedSizeAdaptiveHull", {"r": R}),
+    "exact": SummarySpec("ExactHull", {}),
+}
+EQUIV_WINDOWS = {
+    "none": None,
+    "count": WindowConfig(last_n=50),
+    "timed": WindowConfig(horizon=1.0),
+    "lateness": WindowConfig(horizon=1.0, max_delay=0.2),
+}
+EQUIV_N = 400
+
+
+def equiv_records(mode):
+    """400 records over 5 keys; under bounded lateness the arrival
+    order is shuffled within the bound and every 25th record arrives
+    0.5 behind its slot, so some are dropped as late."""
+    pts = drifting_clusters_stream(EQUIV_N, n_clusters=2, drift=0.15, seed=3)
+    keys = [f"k{i % 5}" for i in range(EQUIV_N)]
+    if EQUIV_WINDOWS[mode] is None or not EQUIV_WINDOWS[mode].timed:
+        return keys, pts, None
+    ts = np.arange(EQUIV_N, dtype=np.float64) / 100.0
+    if mode == "lateness":
+        order = bounded_shuffle(ts, 0.2, seed=9)
+        keys = [keys[i] for i in order]
+        pts, ts = pts[order], ts[order].copy()
+        ts[::25] -= 0.5
+    return keys, pts, ts
+
+
+def equiv_engine(tier, scheme, mode):
+    spec, window = EQUIV_SCHEMES[scheme], EQUIV_WINDOWS[mode]
+    if tier == "stream":
+        return StreamEngine(spec.build, window=window)
+    return ShardedEngine(spec, shards=2, window=window)
+
+
+def run_singles(engine, keys, pts, ts, one_record_batch):
+    """Feed record by record; returns (changed flags, notifications)."""
+    seen = []
+    engine.subscribe(lambda ks: seen.append(sorted(ks)))
+    changed = []
+    for i, key in enumerate(keys):
+        t = None if ts is None else float(ts[i])
+        x, y = float(pts[i][0]), float(pts[i][1])
+        if one_record_batch:
+            run_ts = None if t is None else [t]
+            changed.append(engine.ingest_arrays([key], [(x, y)], ts=run_ts) > 0)
+        else:
+            changed.append(engine.insert(key, x, y, ts=t))
+    return changed, seen
+
+
+def engine_state_json(engine):
+    return json.dumps(engine.snapshot_state(), sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", list(EQUIV_WINDOWS))
+@pytest.mark.parametrize("scheme", list(EQUIV_SCHEMES))
+@pytest.mark.parametrize("tier", TIERS)
+def test_insert_is_a_one_record_batch(tier, scheme, mode):
+    """``insert`` and a one-record ``ingest_arrays`` are the same call:
+    same return values, notifications, counters (one batch per
+    record), late drops and byte-identical per-key state."""
+    keys, pts, ts = equiv_records(mode)
+    with equiv_engine(tier, scheme, mode) as a, equiv_engine(
+        tier, scheme, mode
+    ) as b:
+        changed_a, seen_a = run_singles(a, keys, pts, ts, False)
+        changed_b, seen_b = run_singles(b, keys, pts, ts, True)
+        assert changed_a == changed_b
+        assert any(changed_a)
+        assert seen_a == seen_b
+        sa, sb = a.stats(), b.stats()
+        for field in ("points_ingested", "batches_ingested", "late_dropped",
+                      "buffered", "sample_points", "buckets"):
+            assert getattr(sa, field) == getattr(sb, field), field
+        admitted = EQUIV_N - sa.late_dropped
+        assert sa.batches_ingested == admitted
+        assert a.late_drops() == b.late_drops()
+        if mode == "lateness":
+            assert sa.late_dropped > 0
+        else:
+            assert sa.points_ingested == EQUIV_N
+        # The snapshot holds every key's summary_state (per worker
+        # engine on the sharded tier) plus the engine counters.
+        assert engine_state_json(a) == engine_state_json(b)
+        if mode in ("timed", "lateness"):
+            assert a.advance_time(10.0) == b.advance_time(10.0)
+            assert seen_a == seen_b
+            assert engine_state_json(a) == engine_state_json(b)
+
+
+@pytest.mark.parametrize("mode", ["none", "count", "timed"])
+@pytest.mark.parametrize("scheme", list(EQUIV_SCHEMES))
+def test_insert_matches_per_point_summary_step(scheme, mode):
+    """Without reordering, the engine's ``insert`` runs the paper's
+    per-point step: each key's state equals a standalone summary fed
+    the same points one ``insert`` at a time."""
+    keys, pts, ts = equiv_records(mode)
+    with equiv_engine("stream", scheme, mode) as engine:
+        run_singles(engine, keys, pts, ts, False)
+        reference = {}
+        for i, key in enumerate(keys):
+            summary = reference.get(key)
+            if summary is None:
+                summary = reference[key] = engine.summary_factory()
+            p = (float(pts[i][0]), float(pts[i][1]))
+            if ts is None:
+                summary.insert(p)
+            else:
+                summary.insert(p, ts=float(ts[i]))
+        for key, summary in reference.items():
+            assert json.dumps(
+                summary_state(engine.get(key)), sort_keys=True
+            ) == json.dumps(summary_state(summary), sort_keys=True), key
+
+
+# -- advance_time refuses a non-finite clock before any side effect -------
+
+
+@pytest.mark.parametrize("now", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("mode", ["timed", "lateness"])
+@pytest.mark.parametrize("tier", TIERS)
+def test_advance_time_rejects_non_finite_now(tier, mode, now, tmp_path):
+    """Both tiers raise ``ValueError`` on a non-finite ``now`` before
+    logging it or moving any clock; the engine stays usable."""
+    keys, pts, ts = workload()
+    with make_engine(tier, WINDOWS[mode]) as engine:
+        engine.attach_durability(tmp_path / "wal")
+        engine.ingest_arrays(keys[:200], pts[:200], ts=ts[:200])
+        engine.advance_time(1.0)
+        seq, watermark = engine.wal.last_seq, engine.watermark
+        before = engine.snapshot_state()
+        with pytest.raises(ValueError, match="finite"):
+            engine.advance_time(now)
+        assert engine.wal.last_seq == seq
+        assert engine.watermark == watermark
+        assert engine.snapshot_state() == before
+        engine.advance_time(float(ts[199]) + 1.0)
+        assert engine.wal.last_seq == seq + 1

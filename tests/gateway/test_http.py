@@ -740,3 +740,36 @@ class TestClientRetry:
         run(main())
 
         run(main())
+
+
+@pytest.mark.parametrize("tier", ["stream", "sharded"])
+def test_advance_time_non_finite_now_is_400(gateway_ctx, tier):
+    """``{"now": Infinity}`` / ``NaN`` is a client error on both tiers
+    (the engine refuses it before logging or broadcasting), and the
+    clock keeps working afterwards."""
+    from repro.shard import ShardedEngine, SummarySpec
+
+    window = WindowConfig(horizon=5.0)
+    if tier == "stream":
+        engine = StreamEngine(lambda: AdaptiveHull(R), window=window)
+    else:
+        engine = ShardedEngine(
+            SummarySpec("AdaptiveHull", {"r": R}), shards=2, window=window
+        )
+
+    async def main():
+        async with gateway_ctx(engine=engine) as (gw, *_):
+            admin = client_for(gw, ADMIN_TOKEN)
+            for now in (float("inf"), float("-inf"), float("nan")):
+                status, payload = await admin.request(
+                    "POST", "/v1/advance_time", {"now": now}
+                )
+                assert status == 400, (now, payload)
+                assert "finite" in payload["error"]
+            status, payload = await admin.request(
+                "POST", "/v1/advance_time", {"now": 1.0}
+            )
+            assert (status, payload) == (200, {"expired": 0})
+            await admin.aclose()
+
+    run(main())

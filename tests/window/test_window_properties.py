@@ -64,10 +64,7 @@ window_params = st.tuples(
 r_values = st.sampled_from([16, 32])
 
 
-warm_flags = st.booleans()
-
-
-def _build(params, window, r, warm=False):
+def _build(params, window, r):
     pts = list(as_tuples(_make_stream(*params)))
     last_n, head_capacity, level_width = window
     w = WindowedHullSummary(
@@ -75,20 +72,17 @@ def _build(params, window, r, warm=False):
         last_n=last_n,
         head_capacity=head_capacity,
         level_width=level_width,
-        warm_start=warm,
     )
     w.insert_many(pts)
     return w, pts
 
 
 @settings(max_examples=25, deadline=None)
-@given(stream_params, window_params, r_values, warm_flags)
-def test_windowed_hull_inside_exact_window_hull(params, window, r, warm):
+@given(stream_params, window_params, r_values)
+def test_windowed_hull_inside_exact_window_hull(params, window, r):
     """Every windowed hull vertex is a live input point, hence inside
-    the exact hull of the live window contents — warm-started heads
-    included (seeds are purged before they could outlive their
-    bucket)."""
-    w, pts = _build(params, window, r, warm)
+    the exact hull of the live window contents."""
+    w, pts = _build(params, window, r)
     live = pts[-w.covered_count :]
     assert len(live) == w.covered_count
     live_set = set(live)
@@ -104,11 +98,7 @@ def test_windowed_hull_inside_exact_window_hull(params, window, r, warm):
 @settings(max_examples=25, deadline=None)
 @given(stream_params, window_params, r_values)
 def test_window_error_bound(params, window, r):
-    """Theorem 5.4-style bound against the exact live-window hull.
-
-    Runs on the default cold heads: the strict bound is exactly what
-    ``warm_start`` trades away transiently (see
-    ``test_warm_start_trade_off`` in test_windowed.py)."""
+    """Theorem 5.4-style bound against the exact live-window hull."""
     w, pts = _build(params, window, r)
     exact = convex_hull(pts[-w.covered_count :])
     view = w.merged_view()
@@ -118,11 +108,11 @@ def test_window_error_bound(params, window, r):
 
 
 @settings(max_examples=25, deadline=None)
-@given(stream_params, window_params, r_values, warm_flags)
-def test_bucket_count_logarithmic(params, window, r, warm):
+@given(stream_params, window_params, r_values)
+def test_bucket_count_logarithmic(params, window, r):
     """Space: bucket count O(level_width * log(covered / head_capacity)),
     plus the bounded tail of cap-blocked buckets — never linear."""
-    w, _ = _build(params, window, r, warm)
+    w, _ = _build(params, window, r)
     last_n, cap, width = window
     count_cap = max(cap, last_n // 4)
     bound = (
@@ -141,15 +131,10 @@ def test_bucket_count_logarithmic(params, window, r, warm):
     st.floats(min_value=5.0, max_value=50.0),
     st.integers(min_value=4, max_value=64),
     st.integers(min_value=0, max_value=2**16),
-    warm_flags,
 )
-def test_time_expiry_actually_forgets(
-    params, horizon, head_capacity, salt, warm
-):
+def test_time_expiry_actually_forgets(params, horizon, head_capacity, salt):
     """A point older than horizon + span-cap slack never appears as a
-    hull vertex, no matter how buckets coalesced around it — including
-    when it travelled onward as a warm-start seed (seeds are purged
-    with their source bucket)."""
+    hull vertex, no matter how buckets coalesced around it."""
     pts = list(as_tuples(_make_stream(*params)))
     rng = np.random.default_rng(salt)
     outlier_at = int(rng.integers(0, max(1, len(pts) // 2)))
@@ -158,7 +143,6 @@ def test_time_expiry_actually_forgets(
         lambda: AdaptiveHull(16),
         horizon=horizon,
         head_capacity=head_capacity,
-        warm_start=warm,
     )
     span = float(rng.uniform(2.0, 4.0)) * horizon / len(pts)
     stale_after = horizon + horizon / 4.0
@@ -180,12 +164,11 @@ def test_time_expiry_actually_forgets(
 
 
 @settings(max_examples=15, deadline=None)
-@given(stream_params, window_params, r_values, warm_flags)
-def test_snapshot_roundtrip_streams_identically(params, window, r, warm):
-    """Restore reproduces buckets/counters exactly (warm-start seed
-    state included) and the restored window continues under the
-    identical policy."""
-    w, pts = _build(params, window, r, warm)
+@given(stream_params, window_params, r_values)
+def test_snapshot_roundtrip_streams_identically(params, window, r):
+    """Restore reproduces buckets/counters exactly and the restored
+    window continues under the identical policy."""
+    w, pts = _build(params, window, r)
     restored = summary_from_state(summary_state(w))
     assert restored.hull() == w.hull()
     assert restored.buckets() == w.buckets()

@@ -152,6 +152,24 @@ class TestTimeWindow:
         for b in w.buckets():
             assert b["end_ts"] - b["start_ts"] <= 20.0 / 4.0 + 1e-9
 
+    def test_insert_and_insert_many_seal_alike(self):
+        """The span-cap seal makes one float comparison on both paths:
+        timestamps 0.05 apart put ``start + horizon/4`` on rounding
+        edges, where ``ts - start > cap`` and ``ts > start + cap``
+        disagree."""
+        ts = [i / 100 for i in range(0, 400, 5)]
+        pts = [(math.cos(i), math.sin(3.0 * i)) for i in range(len(ts))]
+        one = make(scheme=lambda: ExactHull(), horizon=1.0)
+        singles = make(scheme=lambda: ExactHull(), horizon=1.0)
+        for p, t in zip(pts, ts):
+            one.insert(p, ts=t)
+            singles.insert_many([p], ts=[t])
+        whole = make(scheme=lambda: ExactHull(), horizon=1.0)
+        whole.insert_many(pts, ts=ts)
+        assert one.buckets() == singles.buckets() == whole.buckets()
+        assert summary_state(one) == summary_state(singles)
+        assert summary_state(one) == summary_state(whole)
+
     def test_staleness_bounded(self):
         """A point older than horizon + span cap is never served."""
         w = make(horizon=20.0, head_capacity=4)
@@ -269,140 +287,79 @@ class TestPersistence:
             summary_from_state(summary_state(w), factory=wrong)
 
 
-class TestWarmStart:
-    """The opt-in head-seeding accelerator: mechanics, soundness, and
-    the documented coverage trade-off (the reason it is opt-in)."""
+class TestRemovedWarmStart:
+    """``warm_start`` is gone.  Docs written with its default
+    (``false``) load unchanged; a doc that set it true is refused,
+    because cold heads cannot replay warm-started buckets
+    bit-identically."""
 
     @staticmethod
-    def _ring(n, radius, cx=0.0, cy=0.0):
-        return [
-            (
-                cx + radius * math.cos(2.0 * math.pi * i / n),
-                cy + radius * math.sin(2.0 * math.pi * i / n),
-            )
-            for i in range(n)
-        ]
+    def _legacy_state(w, warm):
+        """``summary_state(w)`` as the option's last release wrote it."""
+        doc = summary_state(w)
+        doc["config"]["warm_start"] = warm
+        doc["state"]["head_seeds"] = None
+        doc["state"]["head_seed_bucket"] = None
+        return json.loads(json.dumps(doc))
 
-    @staticmethod
-    def _grid():
-        return [(0.1 * (i % 5), 0.15 * (i // 5)) for i in range(20)]
+    def test_option_is_gone(self):
+        assert "warm_start" not in make(last_n=100).get_config()
+        with pytest.raises(TypeError):
+            make(last_n=100, warm_start=False)
+        with pytest.raises(TypeError):
+            WindowConfig(last_n=100, warm_start=False)
 
-    def test_head_is_seeded_after_seal_and_purged_into_clean_buckets(self):
-        w = make(last_n=200, head_capacity=20, warm_start=True)
-        first = self._ring(20, 50.0)
-        w.insert_many(first)  # seals the first bucket
-        assert w._head_seeds is not None
-        assert w._head_seed_bucket is w._sealed[-1]
-        assert set(w._head_seeds) <= set(first)
-        second = self._ring(20, 5.0)
-        w.insert_many(second)  # seals the seeded head
-        # Sealed buckets never hold foreign points: each summary's
-        # samples come from its own segment only.
-        assert set(w._sealed[0].summary.samples()) <= set(first)
-        assert set(w._sealed[1].summary.samples()) <= set(second)
-        # Window-level counters count genuine points only.
-        assert w.points_seen == 40
-        assert w.covered_count == 40
-
-    def test_seeds_purged_when_source_bucket_expires(self):
-        w = make(last_n=40, head_capacity=20, warm_start=True)
-        w.insert_many(self._ring(20, 100.0))  # bucket B1; head seeded
-        seeds = set(w._head_seeds)
-        # 10 interior points: all inside the seed hull, head stays open.
-        w.insert_many(self._grid()[:10])
-        # B1 cannot expire while the head it seeded is open here
-        # (covered 30 < 40 + B1.count); force the window onward.
-        w.insert_many(self._grid()[:10])  # seals the seeded head (B2)
-        w.insert_many(self._grid())       # B3; covered 60 -> B1 drops
-        assert w.buckets_expired >= 1
-        live = set()
-        for b in w._sealed:
-            live |= set(b.summary.samples())
-        live |= set(w._head.samples())
-        assert not (live & seeds)  # no expired ring point is stored
-        for v in w.hull():
-            assert v not in seeds
-
-    def test_trade_off_cold_tight_warm_sound_then_heals(self):
-        """The documented contract: cold heads keep the strict window
-        bound always; warm heads stay *sound* (never serve expired
-        points) and may transiently under-cover after their seed
-        source expires, healing once the seeded bucket expires too.
-
-        The adversarial shape: a wide ring bucket, then a bucket of
-        *unique* mid-scale points the seed hull swallows whole, then
-        tiny clusters.  When the ring expires, the mid-scale points
-        are the window's extremes but the warm view no longer stores
-        any of them."""
-        from repro.experiments.metrics import hull_distance
-        from repro.geometry.hull import convex_hull
-
-        wide = self._ring(20, 100.0)
-        # 20 unique points spanning [0, 50]^2 — inside the ring hull.
-        mid = [(2.6 * i, (7.9 * i) % 50.0) for i in range(20)]
-        tiny = [
-            [(0.01 * (i % 5) + 0.05 * b, 0.01 * (i // 5)) for i in range(20)]
-            for b in range(3)
-        ]
-        feed = [wide, mid] + tiny
-
-        def run(warm):
-            w = make(
-                scheme=lambda: AdaptiveHull(32),
-                last_n=40,
-                head_capacity=20,
-                warm_start=warm,
-            )
-            steps = []
-            pts = []
-            for batch in feed:
-                w.insert_many(batch)
-                pts.extend(batch)
-                exact = convex_hull(pts[-w.covered_count :])
-                err = hull_distance(exact, w.hull())
-                # Bound against the *exact* window's perimeter: the
-                # warm view's own perimeter is exactly what collapses
-                # in the trade-off, so it cannot anchor the bound.
-                exact_perimeter = sum(
-                    math.dist(exact[i], exact[(i + 1) % len(exact)])
-                    for i in range(len(exact))
-                )
-                bound = 4.0 * 16.0 * math.pi * exact_perimeter / (32 * 32)
-                live = set(pts[-w.covered_count :])
-                assert all(v in live for v in w.hull())  # soundness
-                steps.append((err, bound))
-            return steps
-
-        cold = run(False)
-        warm = run(True)
-        # Cold: strict bound at every step.
-        assert all(e <= b + 1e-9 for e, b in cold)
-        # Warm: the steps after the wide bucket expired may exceed it
-        # (that is the trade-off this test documents)...
-        assert any(e > b + 1e-9 for e, b in warm)
-        # ...but the final state, once the seeded bucket expired too,
-        # is back within the strict bound.
-        assert warm[-1][0] <= warm[-1][1] + 1e-9
-
-    def test_warm_start_threads_through_config_and_snapshot(self):
-        w = make(last_n=100, head_capacity=10, warm_start=True)
-        assert w.get_config()["warm_start"] is True
-        w.insert_many(self._ring(25, 10.0))
-        assert w._head_seeds is not None
-        restored = summary_from_state(summary_state(w))
-        assert restored.config.warm_start is True
-        assert restored._head_seeds == w._head_seeds
-        assert restored._sealed.index(restored._head_seed_bucket) == (
-            w._sealed.index(w._head_seed_bucket)
+    def test_cold_docs_load_unchanged(self, small_disk_points):
+        doc = {"last_n": 300, "horizon": None, "head_capacity": 32,
+               "level_width": 2, "warm_start": False, "max_delay": None}
+        assert WindowConfig.from_doc(doc) == WindowConfig(
+            last_n=300, head_capacity=32
         )
-        extra = self._ring(40, 12.0)
-        w.insert_many(extra)
-        restored.insert_many(extra)
+        w = make(last_n=300, head_capacity=32)
+        w.insert_many(small_disk_points[:1000])
+        legacy = self._legacy_state(w, False)
+        factory = lambda: make(last_n=300, head_capacity=32)  # noqa: E731
+        for restored in (
+            summary_from_state(legacy),
+            summary_from_state(legacy, factory=factory),
+        ):
+            assert restored.hull() == w.hull()
+            assert restored.buckets() == w.buckets()
+        restored = summary_from_state(legacy)
+        w.insert_many(small_disk_points[1000:])
+        restored.insert_many(small_disk_points[1000:])
         assert restored.hull() == w.hull()
         assert restored.buckets() == w.buckets()
+        assert summary_state(restored) == summary_state(w)
 
-    def test_default_is_cold(self):
-        w = make(last_n=100)
-        assert w.config.warm_start is False
-        w.insert_many(self._ring(30, 10.0))
-        assert w._head_seeds is None
+    def test_warm_docs_are_refused(self, small_disk_points):
+        doc = {"last_n": 300, "level_width": 2, "warm_start": True}
+        with pytest.raises(ValueError, match="warm_start"):
+            WindowConfig.from_doc(doc)
+        w = make(last_n=300, head_capacity=32)
+        w.insert_many(small_disk_points[:1000])
+        legacy = self._legacy_state(w, True)
+        factory = lambda: make(last_n=300, head_capacity=32)  # noqa: E731
+        with pytest.raises(ValueError, match="warm_start"):
+            summary_from_state(legacy)
+        with pytest.raises(ValueError, match="warm_start"):
+            summary_from_state(legacy, factory=factory)
+
+    def test_cold_engine_snapshot_restores(self, small_disk_points):
+        from repro.engine import StreamEngine
+
+        engine = StreamEngine(
+            lambda: AdaptiveHull(16), window={"last_n": 300}
+        )
+        engine.ingest_arrays(
+            ["a", "b"] * 500, small_disk_points[:1000]
+        )
+        doc = engine.snapshot_state()
+        doc["window"]["warm_start"] = False
+        for _, state in doc["summaries"]:
+            state["config"]["warm_start"] = False
+        restored = StreamEngine.from_snapshot_state(
+            json.loads(json.dumps(doc)), lambda: AdaptiveHull(16)
+        )
+        assert restored.window == engine.window
+        assert restored.snapshot_state() == engine.snapshot_state()
