@@ -500,42 +500,16 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from .shard import ShardedEngine, SummarySpec
-
     if args.keys < 1:
         raise SystemExit("shard: --keys must be >= 1")
     if args.batch < 1:
         raise SystemExit("shard: --batch must be >= 1")
     if args.workers < 1:
         raise SystemExit("shard: --workers must be >= 1")
-    if args.replicas < 0:
-        raise SystemExit("shard: --replicas must be >= 0")
+    engine, restore = _tier_engine(args, "shard")
     rng = np.random.default_rng(args.seed)
     keys = np.array([f"stream-{i:04d}" for i in range(args.keys)])
     centers = rng.uniform(-100.0, 100.0, (args.keys, 2))
-    spec = SummarySpec("AdaptiveHull", {"r": args.r})
-
-    durability = None
-    if args.wal_dir is not None:
-        from .durable import DurabilityConfig, recover_engine, wal_exists
-
-        durability = DurabilityConfig(args.wal_dir)
-    if durability is not None and wal_exists(args.wal_dir):
-        # A prior run left a log: pick up exactly where it stopped
-        # (the logged spec/window win over this invocation's flags).
-        engine = recover_engine(
-            args.wal_dir,
-            workers=args.workers,
-            standbys=args.replicas,
-            durability=durability,
-        )
-    else:
-        engine = ShardedEngine(
-            spec,
-            shards=args.workers,
-            standbys=args.replicas,
-            durability=durability,
-        )
 
     with engine:
         replay = getattr(engine, "last_replay", None)
@@ -582,7 +556,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
         if args.snapshot:
             path = engine.snapshot(args.snapshot)
-            restored = ShardedEngine.restore(path)
+            restored = restore(path)
             try:
                 all_keys = engine.keys()
                 ok = all(restored.hull(k) == engine.hull(k) for k in all_keys)
@@ -701,8 +675,9 @@ def _tier_engine(args, prog: str, default_window=None):
     """Validate the shared tier/window flags and build the requested
     engine (both tiers implement EngineProtocol, so callers stay
     tier-agnostic).  Returns ``(engine, restore)`` with ``restore`` the
-    tier's snapshot-file loader.  Shared by the ``window``, ``metrics``
-    and ``gateway`` subcommands so their construction cannot drift."""
+    tier's snapshot-file loader.  Shared by the ``shard``, ``window``,
+    ``metrics`` and ``gateway`` subcommands so their construction
+    cannot drift."""
     import math
 
     from .window import WindowConfig

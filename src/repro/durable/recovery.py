@@ -165,19 +165,18 @@ def recover_sharded_engine(
     *,
     shards=None,
     standbys=0,
-    replicas=None,
     max_streams=None,
-    start_method=None,
     window=_UNSET,
-    worker_push=True,
     on_late=None,
     durability: Optional[DurabilityConfig] = None,
 ):
     """Rebuild a :class:`~repro.shard.ShardedEngine` ring from ``wal_dir``.
 
     ``shards=None`` keeps the snapshot's worker count (or the logged
-    meta's for a snapshotless log); any other count re-routes per key
-    through the existing adopt path — recovery doubles as resizing.
+    meta's for a snapshotless log).  Any other count loads the snapshot
+    onto its own layout and then runs
+    :meth:`~repro.shard.ShardedEngine.resize`
+    before the tail replays — recovery doubles as resizing.
     """
     from ..shard import ShardedEngine, SummarySpec
 
@@ -192,27 +191,18 @@ def recover_sharded_engine(
     snap = load_latest_snapshot(wal_dir)
     common = dict(
         max_streams=max_streams,
-        start_method=start_method,
-        worker_push=worker_push,
+        window=window,
         on_late=on_late,
         standbys=standbys,
     )
     if snap is not None:
         engine = ShardedEngine.from_snapshot_state(
-            snap[1],
-            shards=shards,
-            replicas=replicas,
-            window=window,
-            **common,
+            snap[1], shards=shards, **common
         )
         after = snap[0]
     else:
         engine = ShardedEngine(
-            spec,
-            shards=shards or (meta or {}).get("shards") or 2,
-            replicas=replicas or 64,
-            window=window,
-            **common,
+            spec, shards=shards or (meta or {}).get("shards") or 2, **common
         )
         after = 0
     engine.last_replay = replay_into(engine, iter_entries(wal_dir, after=after))

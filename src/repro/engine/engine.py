@@ -261,11 +261,11 @@ class StreamEngine(EngineBase):
     def adopt(self, key: Hashable, summary: HullSummary) -> HullSummary:
         """Install an externally built summary under ``key``.
 
-        Used by the shard layer when a whole-ring snapshot is restored
-        onto a different worker count: each deserialised summary is
-        adopted by whichever engine now owns its key.  Replaces any live
-        summary for the key, re-binds attached trackers, and enforces
-        the LRU bound like any other touch.
+        Used by the shard layer when a resize (live, or as part of a
+        restore onto a different worker count) moves a key: the
+        deserialised summary is adopted by the engine that now owns
+        it.  Replaces any live summary for the key, re-binds attached
+        trackers, and enforces the LRU bound like any other touch.
         """
         self._summaries.pop(key, None)
         self._summaries[key] = summary
@@ -324,7 +324,7 @@ class StreamEngine(EngineBase):
 
     def adopt_pending(self, key: Hashable, buffer_doc: dict) -> None:
         """Install a serialised reorder buffer under ``key`` (the shard
-        layer's re-sharded-restore hook, mirroring :meth:`adopt` for
+        layer's resize hook, mirroring :meth:`adopt` for
         not-yet-released records).
 
         Raises:

@@ -110,16 +110,6 @@ SHARD_STREAMS = Gauge(
     "Streams owned by each shard (refreshed at stats()).",
     ("shard",),
 )
-SHARD_PARTIALS_REDUCED = Gauge(
-    "repro_shard_partials_reduced",
-    "Worker-push partial reductions computed by each shard (refreshed at stats()).",
-    ("shard",),
-)
-SHARD_PARTIALS_SERVED = Gauge(
-    "repro_shard_partials_served",
-    "merged_state requests served from a warm worker-push partial (refreshed at stats()).",
-    ("shard",),
-)
 
 # -- transport -------------------------------------------------------------
 
@@ -138,11 +128,11 @@ TRANSPORT_FRAMES_RECV = TRANSPORT_FRAMES.labels("recv")
 TRANSPORT_BYTES_SEND = TRANSPORT_BYTES.labels("send")
 TRANSPORT_BYTES_RECV = TRANSPORT_BYTES.labels("recv")
 
-# -- worker-push partial cache (incremented worker-side) -------------------
+# -- cached shard partial (incremented worker-side) ------------------------
 
 PARTIAL_CACHE = Counter(
     "repro_partial_cache_total",
-    "Worker-push partial cache outcomes on merged_state requests.",
+    "Cached whole-shard partial outcomes on keys=None merged_state requests.",
     ("result",),
 )
 PARTIAL_CACHE_HIT = PARTIAL_CACHE.labels("hit")

@@ -19,12 +19,13 @@ reduce per-subsystem streams into one global result:
 * :func:`~repro.shard.worker.shard_worker_main` — one
   :class:`~repro.engine.StreamEngine` per worker process, spoken to
   over a framed pipe in the :mod:`repro.streams.io` snapshot format,
-  pre-folding its shard-level partial during ingest idle time;
+  caching its whole-shard fold between mutations;
 * :class:`~repro.shard.engine.ShardedEngine` — the front door: batch
   fan-out across all workers, per-key hulls bit-for-bit identical to a
   single engine, global hull/diameter/width through a tree reduction of
   per-shard merged summaries, and whole-ring snapshot/restore (onto the
-  same or a different worker count).
+  same worker count, or onto another through
+  :meth:`~repro.shard.engine.ShardedEngine.resize`).
 
 Quickstart::
 

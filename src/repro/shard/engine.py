@@ -20,10 +20,10 @@ schemes' error bounds.
 
 Snapshot/restore covers the whole ring: one JSON document holds every
 shard engine's state (the :mod:`repro.streams.io` summary format all
-the way down).  Restoring onto the *same* worker count reloads each
-engine wholesale; restoring onto a *different* count re-routes each
-key's summary through the new ring — consistent hashing keeps the
-reshuffle proportional to the resize.
+the way down).  A restore reloads each engine wholesale onto the
+snapshot's own layout; restoring onto a *different* worker count then
+runs :meth:`ShardedEngine.resize`, so consistent hashing keeps the
+reshuffle proportional and there is one re-layout path.
 
 The ring implements the same
 :class:`~repro.engine.protocol.EngineProtocol` surface as the
@@ -107,10 +107,6 @@ class ShardStats(BaseStats):
 
     shards: int = 0
     per_shard: List[Dict] = field(default_factory=list)
-    #: Worker-push partial reductions: idle-time folds across the ring
-    #: and global queries answered from a warm per-shard partial.
-    partials_reduced: int = 0
-    partials_served: int = 0
     #: Replica lanes: standby workers currently alive across the ring,
     #: and how many primary deaths have been absorbed by promotion.
     standbys: int = 0
@@ -123,11 +119,6 @@ class ShardStats(BaseStats):
             f"points={self.points_ingested:,} batches={self.batches_ingested} "
             f"stored={self.sample_points} load={loads}"
         ) + self._suffix()
-        if self.partials_reduced or self.partials_served:
-            base += (
-                f" partials={self.partials_reduced}"
-                f"/{self.partials_served} served"
-            )
         if self.standbys or self.promotions:
             base += (
                 f" standbys={self.standbys} promotions={self.promotions}"
@@ -143,8 +134,10 @@ def _close_in_child(conn) -> None:
 def _default_context():
     """Prefer fork (fast start, inherits the imported package); fall
     back to spawn where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return multiprocessing.get_context("spawn")
 
 
 class _Lane:
@@ -177,9 +170,6 @@ class ShardedEngine(EngineBase):
         replicas: virtual nodes per shard on the hash ring.
         max_streams: optional per-shard LRU bound (passed to each
             worker's engine).
-        start_method: multiprocessing start method override
-            ("fork"/"spawn"/"forkserver"); default picks fork when
-            available.
         window: optional :class:`~repro.window.WindowConfig` (or kwargs
             dict), propagated to every worker: each key then gets a
             windowed summary, ingestion accepts timestamps,
@@ -196,13 +186,6 @@ class ShardedEngine(EngineBase):
             slice so the workers' reorder buffers release at one
             deterministic cut (per-key results stay bit-identical to
             a single engine fed the same arrivals).
-        worker_push: enable worker-push partial reductions — once a
-            global query has been seen, each worker folds its shard-
-            level partial during ingest idle time, so
-            :meth:`merged_summary` (and the hull/diameter/width folds
-            on top of it) fetch one small pre-reduced state per shard
-            instead of paying the whole fold on the query path.
-            ``False`` recomputes per query (the cold tree-reduce).
         standbys: replica workers per shard (default 0).  Each shard's
             requests tee to ``1 + standbys`` lanes; determinism keeps
             the lanes bit-identical, so when a primary dies at the pipe
@@ -222,7 +205,9 @@ class ShardedEngine(EngineBase):
     and joined.  All public methods raise :class:`ShardError` when a
     worker reports a failure or has died.  Per-batch parent-side costs
     are split out in :attr:`timings` (``partition_s`` routing/slicing,
-    ``send_s`` wire writes, ``collect_s`` waiting on acks).
+    ``send_s`` wire writes, ``collect_s`` waiting on acks).  A
+    whole-ring :meth:`merged_summary` is served from each worker's
+    cached shard fold until that shard next mutates.
     """
 
     def __init__(
@@ -232,9 +217,7 @@ class ShardedEngine(EngineBase):
         shards: int = 2,
         replicas: int = 64,
         max_streams: Optional[int] = None,
-        start_method: Optional[str] = None,
         window=None,
-        worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
         durability=None,
@@ -243,7 +226,6 @@ class ShardedEngine(EngineBase):
             raise ValueError("ShardedEngine needs at least one shard")
         if standbys < 0:
             raise ValueError("standbys must be >= 0")
-        self.worker_push = bool(worker_push)
         self.spec = SummarySpec.coerce(spec)
         self.window = WindowConfig.coerce(window)
         self._clock: Optional[float] = None  # high-water event time (strict)
@@ -288,11 +270,7 @@ class ShardedEngine(EngineBase):
             OBS.SHARD_INFLIGHT.labels(str(i)) for i in range(shards)
         ]
         self._closed = False
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else _default_context()
-        )
+        self._ctx = _default_context()
         # Callbacks are parent-side policy: lateness is judged (and
         # dead-lettered) before any worker sees a record, so the config
         # shipped to workers must not carry the hook (it may not even
@@ -343,7 +321,6 @@ class ShardedEngine(EngineBase):
                 self.spec,
                 self._max_streams,
                 self._worker_window,
-                self.worker_push,
             ),
             name=name,
             daemon=True,
@@ -926,8 +903,11 @@ class ShardedEngine(EngineBase):
         (on a windowed ring: a per-shard *windowed view* of the base
         scheme, covering the union of that shard's live windows); the
         parent deserialises the K shard summaries and tree-reduces
-        them (:func:`~repro.core.base.tree_merge`).  The result carries
-        the scheme's usual one-sided error against the union stream's
+        them (:func:`~repro.core.base.tree_merge`).  With ``keys=None``
+        each worker answers from its cached shard fold when nothing
+        changed since the last such query (a hit or miss on
+        ``repro_partial_cache_total``).  The result carries the
+        scheme's usual one-sided error against the union stream's
         (respectively the union window's) true hull."""
         selection = None if keys is None else list(keys)
         states = self._broadcast("merged_state", selection)
@@ -950,14 +930,7 @@ class ShardedEngine(EngineBase):
         """
         per_shard = self._broadcast("stats")
         for i, s in enumerate(per_shard):
-            label = str(i)
-            OBS.SHARD_STREAMS.labels(label).set(s.get("streams", 0))
-            OBS.SHARD_PARTIALS_REDUCED.labels(label).set(
-                s.get("partials_reduced", 0)
-            )
-            OBS.SHARD_PARTIALS_SERVED.labels(label).set(
-                s.get("partials_served", 0)
-            )
+            OBS.SHARD_STREAMS.labels(str(i)).set(s.get("streams", 0))
         merged_obs = obs_registry().collect()
         for s in per_shard:
             worker_obs = s.get("obs")
@@ -979,12 +952,6 @@ class ShardedEngine(EngineBase):
             late_dropped=self.late_dropped
             + sum(s.get("late_dropped", 0) for s in per_shard),
             buffered=sum(s.get("buffered", 0) for s in per_shard),
-            partials_reduced=sum(
-                s.get("partials_reduced", 0) for s in per_shard
-            ),
-            partials_served=sum(
-                s.get("partials_served", 0) for s in per_shard
-            ),
             standbys=sum(max(len(lanes) - 1, 0) for lanes in self._lanes),
             promotions=len(self.promotions),
             obs=merged_obs,
@@ -1120,10 +1087,7 @@ class ShardedEngine(EngineBase):
         doc: dict,
         *,
         shards: Optional[int] = None,
-        replicas: Optional[int] = None,
         max_streams: Optional[int] = None,
-        start_method: Optional[str] = None,
-        worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
         window=None,
@@ -1131,17 +1095,20 @@ class ShardedEngine(EngineBase):
     ) -> "ShardedEngine":
         """Rebuild a ring from a :meth:`snapshot_state` document.
 
-        With the snapshot's own shard count (the default) each worker
-        reloads its engine wholesale — identical per-shard state and
-        counters.  With a different ``shards`` (or ``replicas``) every
-        key's summary is re-routed through the new ring and adopted by
-        its new owner; per-key summaries are preserved exactly, while
-        per-shard point counters are re-derived from the summaries' own
-        ``points_seen`` (per-shard *batch* counts are not reconstructed).
+        Each worker reloads its engine wholesale onto the snapshot's
+        own layout (its ``shards`` and hash-ring ``replicas``) —
+        identical per-shard state and counters.  A different
+        ``shards`` then runs :meth:`resize`, the one re-layout path:
+        per-key summaries and pending reorder buffers move exactly,
+        per-shard point counters follow the summaries' own
+        ``points_seen`` (per-shard *batch* counts stay where they were
+        loaded), and the resize is recorded in :attr:`resize_events`.
         ``window=None`` keeps the snapshot's own window config;
-        ``standbys``/``durability`` configure the rebuilt ring like the
-        constructor (the durability directory must be fresh — recovery
-        re-attaches to an existing log *after* replay instead).
+        ``standbys`` configures the rebuilt ring like the constructor,
+        and ``durability`` is attached last, onto the final layout
+        (the directory must be fresh — recovery re-attaches to an
+        existing log *after* replay instead).  On any failure the
+        partly built ring is closed before the error propagates.
         """
         check_snapshot_doc(
             doc, SHARD_FORMAT, SHARD_FORMAT_VERSION, "a shard snapshot"
@@ -1150,62 +1117,41 @@ class ShardedEngine(EngineBase):
         if window is None:
             window_doc = doc.get("window")
             window = WindowConfig.from_doc(window_doc) if window_doc else None
-        target_shards = shards if shards is not None else int(doc["shards"])
-        target_replicas = (
-            replicas if replicas is not None else int(doc["replicas"])
-        )
         engine = cls(
             spec,
-            shards=target_shards,
-            replicas=target_replicas,
+            shards=int(doc["shards"]),
+            replicas=int(doc["replicas"]),
             max_streams=max_streams,
-            start_method=start_method,
             window=window,
-            worker_push=worker_push,
             on_late=on_late,
             standbys=standbys,
-            durability=durability,
         )
-        same_layout = (
-            target_shards == int(doc["shards"])
-            and target_replicas == int(doc["replicas"])
-        )
-        if same_layout:
+        try:
             for i, engine_doc in enumerate(doc["engines"]):
                 engine._request(i, "load_snapshot", engine_doc)
-            for i in range(len(doc["engines"])):
-                engine._collect(i)
-        else:
-            # One adopt round-trip per key: slower than bulk reload but
-            # immune to pipe back-pressure, and restore is not a hot
-            # path.  Consistent hashing keeps most keys on their old
-            # shard anyway, so resizes move only the proportional slice.
-            for engine_doc in doc["engines"]:
-                for key, snap in engine_doc["summaries"]:
-                    engine._call(engine.shard_for(key), "adopt", key, snap)
-                # Not-yet-released reorder-buffer records re-route with
-                # their key, so a resized ring owes exactly the same
-                # pending work as the one that snapshotted.
-                time_doc = engine_doc.get("time") or {}
-                for key, buf_doc in time_doc.get("buffers", []):
-                    engine._call(
-                        engine.shard_for(key), "adopt_buffer", key, buf_doc
+            engine._collect_all(range(len(doc["engines"])))
+            engine.points_ingested = int(doc.get("points_ingested", 0))
+            engine.batches_ingested = int(doc.get("batches_ingested", 0))
+            clock = doc.get("clock")
+            engine._clock = float(clock) if clock is not None else None
+            time_doc = doc.get("time")
+            if time_doc is not None:
+                if engine._event_clock is None:
+                    raise ValueError(
+                        "snapshot carries event-time state but the window "
+                        "has no bounded-lateness policy"
                     )
-        engine.points_ingested = int(doc.get("points_ingested", 0))
-        engine.batches_ingested = int(doc.get("batches_ingested", 0))
-        clock = doc.get("clock")
-        engine._clock = float(clock) if clock is not None else None
-        time_doc = doc.get("time")
-        if time_doc is not None:
-            if engine._event_clock is None:
-                raise ValueError(
-                    "snapshot carries event-time state but the window has "
-                    "no bounded-lateness policy"
-                )
-            engine._event_clock.load_doc(time_doc)
-            engine._late_drops = {
-                key: int(n) for key, n in time_doc.get("late_drops", [])
-            }
+                engine._event_clock.load_doc(time_doc)
+                engine._late_drops = {
+                    key: int(n) for key, n in time_doc.get("late_drops", [])
+                }
+            if shards is not None:
+                engine.resize(shards)
+            if durability is not None:
+                engine.attach_durability(durability, require_empty=True)
+        except Exception:
+            engine.close()
+            raise
         return engine
 
     @classmethod
@@ -1214,10 +1160,7 @@ class ShardedEngine(EngineBase):
         path: PathLike,
         *,
         shards: Optional[int] = None,
-        replicas: Optional[int] = None,
         max_streams: Optional[int] = None,
-        start_method: Optional[str] = None,
-        worker_push: bool = True,
         on_late=None,
         standbys: int = 0,
         window=None,
@@ -1228,10 +1171,7 @@ class ShardedEngine(EngineBase):
         return cls.from_snapshot_state(
             doc,
             shards=shards,
-            replicas=replicas,
             max_streams=max_streams,
-            start_method=start_method,
-            worker_push=worker_push,
             on_late=on_late,
             standbys=standbys,
             window=window,

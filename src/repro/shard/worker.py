@@ -20,25 +20,13 @@ Replies travel the same framed format (summary payloads use the
 form the on-disk checkpoints use, so the IPC layer adds no second
 serialisation story).
 
-**Worker-push partial reductions.**  Besides answering requests, the
-worker maintains a *shard-level partial*: the canonical-order fold of
-all its per-key summaries (exactly :meth:`StreamEngine.merged_summary`,
-so parity with the in-process tier is structural, not coincidental).
-The partial moves through three states:
-
-* ``cold`` — no global query has ever hit this worker; ingest never
-  pays a fold it may not need;
-* ``dirty`` — a global query happened at some point, but the engine
-  mutated since the partial was last folded;
-* ``warm`` — the serialized partial is current; ``merged_state``
-  queries return it without touching the engine.
-
-The promotion from ``dirty`` to ``warm`` is *opportunistic*: whenever
-the request pipe is idle (no pending message) the main loop folds the
-partial before blocking on ``recv`` — ingest idle time pays for query
-latency, and the parent's global ``merged_summary`` fetches one small
-pre-reduced state per shard instead of waiting for every worker to
-fold its whole key set on the query path.
+**Cached shard partial.**  The worker caches its *shard-level
+partial*: the serialized canonical-order fold of all its per-key
+summaries (exactly :meth:`StreamEngine.merged_summary`, so parity with
+the in-process tier is structural, not coincidental).  A whole-shard
+``merged_state`` query fills the cache on a miss and is answered from
+it on a hit; every mutating verb drops it.  Nothing is folded while
+the pipe is idle, so ingest never pays for a query that may not come.
 
 The worker is deliberately dumb: it never touches the hash ring and
 trusts the parent's routing.  Global answers are produced by the parent
@@ -71,7 +59,6 @@ class _ShardServer:
         spec: SummarySpec,
         max_streams: Optional[int] = None,
         window=None,
-        push: bool = True,
     ):
         self.spec = spec
         self.max_streams = max_streams
@@ -79,15 +66,9 @@ class _ShardServer:
         self.engine = StreamEngine(
             spec.build, max_streams=max_streams, window=window
         )
-        # Worker-push partial reduction state (see module docstring):
-        # ``_partial`` is the serialized canonical-order fold of every
-        # local summary, ``_partial_wanted`` flips on the first global
-        # query (cold -> dirty), ``_partial`` is None while dirty.
-        self._push = push
+        # The cached whole-shard fold (see module docstring); None
+        # until a keys=None query fills it and after any mutation.
         self._partial: Optional[dict] = None
-        self._partial_wanted = False
-        self.partials_reduced = 0  # idle-time folds
-        self.partials_served = 0  # queries answered from the warm partial
         # Chaos/testing hook: seconds slept before handling each op.
         self.latency = 0.0
 
@@ -96,19 +77,8 @@ class _ShardServer:
     # streams.io state documents, arrays as raw buffer frames).
 
     def _mutated(self) -> None:
-        """Engine state changed: a warm partial is stale (dirty)."""
+        """Engine state changed: drop the cached partial."""
         self._partial = None
-
-    def idle_reduce(self) -> bool:
-        """Fold the shard-level partial while the pipe is idle; returns
-        True when a fold actually ran (dirty -> warm)."""
-        if not (self._push and self._partial_wanted):
-            return False
-        if self._partial is not None:
-            return False
-        self._partial = summary_state(self.engine.merged_summary(None))
-        self.partials_reduced += 1
-        return True
 
     def op_ingest_arrays(self, keys, points, ts=None, watermark=None):
         # ``watermark`` rides along on bounded-lateness rings: the
@@ -143,24 +113,16 @@ class _ShardServer:
 
     def op_merged_state(self, keys=None):
         if keys is None:
-            self._partial_wanted = True
-            if self._push and self._partial is not None:
-                self.partials_served += 1
+            if self._partial is not None:
                 OBS.PARTIAL_CACHE_HIT.inc()
                 return self._partial
             OBS.PARTIAL_CACHE_MISS.inc()
-            state = summary_state(self.engine.merged_summary(None))
-            if self._push:
-                self._partial = state
-            return state
+            self._partial = summary_state(self.engine.merged_summary(None))
+            return self._partial
         return summary_state(self.engine.merged_summary(keys))
 
     def op_stats(self):
-        return {
-            **asdict(self.engine.stats()),
-            "partials_reduced": self.partials_reduced,
-            "partials_served": self.partials_served,
-        }
+        return asdict(self.engine.stats())
 
     def op_set_latency(self, seconds):
         # Chaos/testing hook: makes this worker slow without making it
@@ -183,8 +145,8 @@ class _ShardServer:
         return len(self.engine)
 
     def op_adopt_buffer(self, key, buffer_doc):
-        # Re-sharded restore: not-yet-released reorder-buffer records
-        # follow their key onto this shard's engine.
+        # Resharding: not-yet-released reorder-buffer records follow
+        # their key onto this shard's engine.
         self._mutated()
         self.engine.adopt_pending(key, buffer_doc)
         return True
@@ -212,8 +174,8 @@ class _ShardServer:
         )
         self.engine.adopt(key, summary)
         # Re-derive this engine's ingest counter from the adopted
-        # summary's own stream length, so per-shard stats stay truthful
-        # after a re-sharded restore re-deals the keys.
+        # summary's own stream length (``extract`` subtracted it at the
+        # source), so per-shard stats stay truthful across a resize.
         self.engine.points_ingested += int(getattr(summary, "points_seen", 0) or 0)
         return True
 
@@ -223,7 +185,6 @@ def shard_worker_main(
     spec: SummarySpec,
     max_streams: Optional[int] = None,
     window=None,
-    push: bool = True,
 ) -> None:
     """Worker process entry point: serve requests until ``stop`` or EOF.
 
@@ -234,20 +195,16 @@ def shard_worker_main(
     than guess at frame boundaries.  An EOF on the pipe (parent died or
     closed) shuts the worker down cleanly.  ``window`` (a
     :class:`~repro.window.WindowConfig`) makes this shard's engine
-    windowed, exactly like the parent's config; ``push`` enables the
-    idle-time partial reductions.
+    windowed, exactly like the parent's config.
     """
     pipe = FramePipe(conn)
     # On fork start methods the child inherits the parent's metric
     # counts; zero them so this worker's registry describes only its
     # own work (the parent merges worker snapshots back via ``stats``).
     obs_registry().reset()
-    server = _ShardServer(spec, max_streams=max_streams, window=window, push=push)
+    server = _ShardServer(spec, max_streams=max_streams, window=window)
     try:
         while True:
-            # Opportunistic work: only when no request is waiting.
-            if not pipe.poll(0) and server.idle_reduce():
-                continue  # re-check the pipe between folds
             try:
                 msg = pipe.recv()
             except EOFError:

@@ -13,6 +13,7 @@ multi-shard one (merge order differs across shards by design).
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,14 +46,11 @@ TIERS = ["stream", "sharded"]
 TRANSPORT_MATRIX = ["frames"]
 
 
-def make_engine(tier, window, shards=2, worker_push=True):
+def make_engine(tier, window, shards=2):
     if tier == "stream":
         return StreamEngine(lambda: AdaptiveHull(R), window=window)
     return ShardedEngine(
-        SummarySpec("AdaptiveHull", {"r": R}),
-        shards=shards,
-        window=window,
-        worker_push=worker_push,
+        SummarySpec("AdaptiveHull", {"r": R}), shards=shards, window=window
     )
 
 
@@ -334,64 +332,125 @@ def test_event_time_shuffle_bit_identical(transport):
             assert b.hull(k) == sorted_ref.hull(k), (transport, k)
 
 
-# -- worker-push partials vs cold tree-reduce ----------------------------
+# -- the cached shard partial ---------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["none", "timed"])
-def test_worker_push_partials_bit_identical_to_cold(mode):
-    """Global reductions must not care whether a shard's partial was
-    folded opportunistically (worker-push) or on the query path (cold
-    tree-reduce): the warm partial is the same canonical-order fold."""
+def cache_count(ring, result):
+    """The ring-wide ``repro_partial_cache_total{result}`` reading."""
+    values = ring.stats().obs["repro_partial_cache_total"]["values"]
+    return values.get(f'result="{result}"', 0.0)
+
+
+def fresh_folds(ring, some):
+    """The whole-ring and ``some``-keys folds of a ring rebuilt from
+    ``ring``'s snapshot: same layout, hence the same fold order, and no
+    cache behind it."""
+    with ShardedEngine.from_snapshot_state(ring.snapshot_state()) as fresh:
+        return (
+            summary_state(fresh.merged_summary()),
+            summary_state(fresh.merged_summary(some)),
+        )
+
+
+MUTATIONS = ["ingest", "advance_time", "resize", "summary", "restore"]
+
+
+@pytest.mark.parametrize("verb", MUTATIONS)
+def test_cached_partial_matches_fresh_fold(verb):
+    """A whole-ring answer served after a mutating verb is the fold of
+    the mutated state, never a stale cache: it equals a fresh fold,
+    and so does the repeat the cache serves.  Key-selection folds
+    bypass the cache and match too."""
+    window = WINDOWS["timed"] if verb == "advance_time" else None
+    timed = window is not None
+    with make_engine("sharded", window) as ring:
+        feed(ring, timed)
+        ring.merged_summary()  # fill every shard's cache
+        if verb == "ingest":
+            ring.ingest([("fresh", 123.0, 456.0)])
+        elif verb == "advance_time":
+            assert ring.advance_time(7.0) > 0
+        elif verb == "resize":
+            ring.resize(3)
+        elif verb == "summary":
+            ring.summary("brand-new")
+        if verb == "restore":
+            target = ShardedEngine.from_snapshot_state(
+                ring.snapshot_state(), shards=3
+            )
+        else:
+            target = ring
+        try:
+            expected, expected_some = fresh_folds(target, KEYS[:2])
+            first = summary_state(target.merged_summary())
+            hits = cache_count(target, "hit")
+            repeat = summary_state(target.merged_summary())
+            assert cache_count(target, "hit") == hits + target.num_shards
+            assert first == repeat == expected
+            some = summary_state(target.merged_summary(KEYS[:2]))
+            assert some == expected_some
+            assert cache_count(target, "hit") == hits + target.num_shards
+        finally:
+            if target is not ring:
+                target.close()
+        if verb == "ingest":
+            assert (123.0, 456.0) in ring.merged_hull()
+
+
+def test_no_fold_while_the_pipe_is_idle():
+    """Idle time folds nothing: after paced ingests with idle gaps, the
+    next whole-ring query misses on every shard."""
+    keys, pts, _ = workload()
+    with make_engine("sharded", None) as ring:
+        feed(ring, False)
+        ring.merged_summary()
+        for lo in range(0, 120, 40):
+            ring.ingest_arrays(keys[lo:lo + 40], pts[lo:lo + 40] + 1.0)
+            time.sleep(0.05)
+        misses = cache_count(ring, "miss")
+        ring.merged_summary()
+        assert cache_count(ring, "miss") == misses + ring.num_shards
+
+
+@pytest.mark.parametrize("mode", ["none", "lateness"])
+def test_resharded_restore_equals_restore_then_resize(tmp_path, mode):
+    """``restore(path, shards=3)`` is ``restore(path)`` followed by
+    ``resize(3)``: byte-identical per-key state, pending reorder
+    buffers included."""
     window = WINDOWS[mode]
-    timed = window is not None and window.timed
-    with make_engine(
-        "sharded", window, worker_push=True
-    ) as warm, make_engine(
-        "sharded", window, worker_push=False
-    ) as cold:
-        feed(warm, timed)
-        feed(cold, timed)
-        # Query twice: the first fold warms the push ring's partials,
-        # the second is served straight from them.
-        for _ in range(2):
-            assert warm.merged_hull() == cold.merged_hull()
-            assert warm.diameter() == cold.diameter()
-            assert warm.width() == cold.width()
-        s_warm, s_cold = warm.stats(), cold.stats()
-        assert s_warm.partials_served >= warm.num_shards
-        assert s_cold.partials_served == 0
-        # Mutate after the warm query: the partial must go dirty, never
-        # serve stale state.
-        warm.ingest([("fresh", 123.0, 456.0, 7.0)] if timed else [("fresh", 123.0, 456.0)])
-        cold.ingest([("fresh", 123.0, 456.0, 7.0)] if timed else [("fresh", 123.0, 456.0)])
-        assert warm.merged_hull() == cold.merged_hull()
-        assert any(
-            (123.0, 456.0) == v for v in warm.merged_hull()
-        ), "post-warm ingest missing from the global fold"
-
-
-def test_worker_push_selection_queries_never_use_partials():
-    """Key-selection folds always compute directly (the partial covers
-    the whole shard, not a selection)."""
-    with make_engine("sharded", None, worker_push=True) as eng:
-        feed(eng, False)
-        eng.merged_hull()  # warm the partials
-        some = KEYS[:2]
-        with make_engine("sharded", None, worker_push=False) as cold:
-            feed(cold, False)
-            assert eng.merged_hull(some) == cold.merged_hull(some)
+    keys, pts, ts = workload()
+    with make_engine("sharded", window) as ring:
+        if window is None:
+            ring.ingest_arrays(keys, pts)
+        else:
+            order = bounded_shuffle(ts, MAX_DELAY, seed=5)
+            ring.ingest_arrays(keys[order], pts[order], ts=ts[order])
+            assert ring.stats().buffered > 0
+        path = ring.snapshot(tmp_path / "ring.json")
+        want = {k: ring.hull(k) for k in ring.keys()}
+    with ShardedEngine.restore(path, shards=3) as direct, ShardedEngine.restore(
+        path
+    ) as stepped:
+        stepped.resize(3)
+        assert sorted(direct.keys()) == sorted(stepped.keys()) == sorted(want)
+        for k in want:
+            assert json.dumps(summary_state(direct.get(k))) == json.dumps(
+                summary_state(stepped.get(k))
+            )
+            assert direct.hull(k) == want[k]
+        assert json.dumps(direct.snapshot_state()) == json.dumps(
+            stepped.snapshot_state()
+        )
 
 
 @pytest.mark.parametrize("transport", TRANSPORT_MATRIX)
 def test_snapshot_restore_across_transports(transport):
-    """A ring snapshot restores onto a fresh ring (worker push off)
-    with identical per-key state."""
+    """A ring snapshot restores onto a fresh ring with identical
+    per-key state."""
     with make_engine("sharded", None) as b:
         feed(b, False)
         doc = b.snapshot_state()
-        with ShardedEngine.from_snapshot_state(
-            doc, worker_push=False
-        ) as restored:
+        with ShardedEngine.from_snapshot_state(doc) as restored:
             assert sorted(restored.keys()) == sorted(b.keys())
             for k in b.keys():
                 assert restored.hull(k) == b.hull(k)

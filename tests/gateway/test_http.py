@@ -739,8 +739,6 @@ class TestClientRetry:
 
         run(main())
 
-        run(main())
-
 
 @pytest.mark.parametrize("tier", ["stream", "sharded"])
 def test_advance_time_non_finite_now_is_400(gateway_ctx, tier):

@@ -13,6 +13,7 @@ covers that).
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -227,8 +228,8 @@ def test_snapshot_restore_same_layout(tmp_path, keyed_workload):
 
 
 def test_snapshot_restore_resharded(tmp_path, keyed_workload):
-    """Restoring onto a different worker count re-routes every key's
-    summary through the new ring — per-key hulls must survive
+    """Restoring onto a different worker count (load, then resize)
+    moves keys through the new ring — per-key hulls must survive
     unchanged in both directions (grow and shrink)."""
     keys, pts = keyed_workload
     with ShardedEngine(SPEC, shards=2) as eng:
@@ -242,8 +243,8 @@ def test_snapshot_restore_resharded(tmp_path, keyed_workload):
             assert sorted(restored.keys()) == sorted(expected)
             for k, hull in expected.items():
                 assert restored.hull(k) == hull
-            # per-shard point counters are re-derived from the adopted
-            # summaries, so stats stay truthful after the re-deal
+            # per-shard point counters follow the moved summaries, so
+            # stats stay truthful after the re-deal
             stats = restored.stats()
             assert sum(s["points_ingested"] for s in stats.per_shard) == len(pts)
         finally:
@@ -255,6 +256,29 @@ def test_restore_rejects_foreign_documents(tmp_path):
     bad.write_text('{"format": "something.else", "version": 1}')
     with pytest.raises(ValueError, match="not a shard snapshot"):
         ShardedEngine.restore(bad)
+
+
+@pytest.mark.parametrize("shards", [None, 3])
+def test_failed_restore_stops_its_workers(keyed_workload, shards):
+    """A restore that fails worker-side closes the ring it built: no
+    worker may outlive the failed call, even while the exception (and
+    with it the traceback's reference to the half-built ring) is
+    still held."""
+    keys, pts = keyed_workload
+    with ShardedEngine(SPEC, shards=2) as eng:
+        eng.ingest_arrays(keys[:500], pts[:500])
+        doc = eng.snapshot_state()
+    key, _ = doc["engines"][0]["summaries"][0]
+    doc["engines"][0]["summaries"][0] = [key, {"format": "garbage"}]
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ShardError) as info:
+        ShardedEngine.from_snapshot_state(doc, shards=shards)
+    leaked = [
+        p.name
+        for p in multiprocessing.active_children()
+        if p not in before and p.name.startswith("repro-shard")
+    ]
+    assert leaked == [], (leaked, info.value)
 
 
 def test_closed_engine_raises(keyed_workload):
