@@ -10,23 +10,16 @@ Usage::
     python -m repro work
     python -m repro demo   [--n N]
     python -m repro engine [--keys K] [--n N] [--r R] [--batch B]
-                           [--snapshot PATH] [--seed S]
-    python -m repro shard  [--keys K] [--n N] [--r R] [--batch B]
                            [--workers W] [--replicas N] [--wal-dir DIR]
-                           [--snapshot PATH] [--seed S]
-    python -m repro window [--keys K] [--n N] [--r R] [--batch B]
                            [--last-n N | --horizon T] [--max-delay D]
-                           [--workers W] [--snapshot PATH] [--seed S]
+                           [--snapshot PATH] [--format prom|json]
+                           [--watch SEC] [--seed S]
     python -m repro gateway [--host H] [--port P] [--tenants FILE] [--r R]
                             [--last-n N | --horizon T] [--max-delay D]
                             [--workers W] [--replicas N] [--wal-dir DIR]
                             [--tick SEC] [--duration SEC]
                             [--selfcheck] [--snapshot PATH]
                             [--metrics-port P]
-    python -m repro metrics [--keys K] [--n N] [--r R] [--batch B]
-                            [--workers W] [--last-n N | --horizon T]
-                            [--max-delay D] [--format prom|json]
-                            [--watch SEC] [--seed S]
     python -m repro durable inspect WAL_DIR
     python -m repro durable recover WAL_DIR [--workers W] [--replicas N]
                                     [--snapshot PATH] [--compact]
@@ -35,27 +28,22 @@ Usage::
 
 Every subcommand prints the corresponding table/series from the paper's
 evaluation; ``demo`` runs a quick end-to-end summary with queries,
-``engine`` exercises the multi-stream batch engine: K keyed streams,
-shuffled record batches, per-key hulls, and (optionally) a snapshot/
-restore round trip; ``shard`` runs the same keyed workload through the
-multi-process :class:`~repro.shard.ShardedEngine` — consistent-hash
-routing across W workers, global merged-hull queries, and a whole-ring
-snapshot/restore check; ``window`` streams drifting clusters through a
-sliding-window engine (count- or time-based) and contrasts the live
-window's hull/diameter with the ever-growing all-time hull;
+``engine`` streams drifting clusters of K keyed streams through either
+engine tier — in process, or a consistent-hash ring of W worker
+processes — optionally windowed (count or time, with bounded lateness
+on a shuffled stream), and reports global merged-hull answers, the
+live window's hull against the ever-growing all-time hull, a
+snapshot/restore check, and the :mod:`repro.obs` page as Prometheus
+text or JSON (``--watch`` re-prints per-second *rates* while it runs);
 ``gateway`` is the network front door — the multi-tenant HTTP/SSE
 server (bearer auth, per-tenant namespaces, quotas, rate limits) over
 the async service facade and either engine tier, with a loopback
-``--selfcheck``; ``metrics``
-runs a keyed workload through either tier and dumps (or, with
-``--watch``, periodically re-prints per-second *rates* from a scrape
-history of) the :mod:`repro.obs` registry as a Prometheus text page or
-a JSON snapshot; ``durable`` operates on a write-ahead log directory —
+``--selfcheck``; ``durable`` operates on a write-ahead log directory —
 ``inspect`` summarises segments/snapshots/tail without replaying,
 ``recover`` rebuilds the engine (snapshot + tail replay, bit-identical
 by determinism) and reports what came back, ``dead-letters`` lists and
 optionally redrives the later-than-watermark records the bounded-
-lateness window dropped.  ``--wal-dir`` on ``shard``/``gateway``
+lateness window dropped.  ``--wal-dir`` on ``engine``/``gateway``
 makes ingest durable (and recovers first when the directory already
 holds a log); ``--replicas`` adds that many standby workers per shard,
 promoted automatically when a primary dies.
@@ -110,85 +98,60 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--r", type=int, default=32)
 
     eng = sub.add_parser(
-        "engine", help="multi-stream batch ingestion engine demo"
+        "engine",
+        help="keyed engine demo on either tier (windows, WAL, metrics)",
     )
-    eng.add_argument("--keys", type=int, default=200, help="keyed streams")
+    eng.add_argument("--keys", type=int, default=64, help="keyed streams")
     eng.add_argument(
-        "--n", type=int, default=200_000, help="total records across all keys"
+        "--n", type=int, default=100_000, help="total records across all keys"
     )
     eng.add_argument("--r", type=int, default=32, help="adaptive parameter r")
     eng.add_argument(
-        "--batch", type=int, default=20_000, help="records per ingest batch"
+        "--batch", type=int, default=10_000, help="records per ingest batch"
     )
     eng.add_argument(
-        "--snapshot", default=None, help="write a snapshot here and verify restore"
+        "--workers", type=int, default=0,
+        help="shard worker processes (0 = in-process StreamEngine)",
     )
-    eng.add_argument("--seed", type=int, default=0)
-
-    sh = sub.add_parser(
-        "shard", help="sharded multi-process ingestion engine demo"
-    )
-    sh.add_argument("--keys", type=int, default=64, help="keyed streams")
-    sh.add_argument(
-        "--n", type=int, default=100_000, help="total records across all keys"
-    )
-    sh.add_argument("--r", type=int, default=32, help="adaptive parameter r")
-    sh.add_argument(
-        "--batch", type=int, default=20_000, help="records per ingest batch"
-    )
-    sh.add_argument(
-        "--workers", type=int, default=2, help="shard worker processes"
-    )
-    sh.add_argument(
-        "--snapshot", default=None,
-        help="write a whole-ring snapshot here and verify restore",
-    )
-    sh.add_argument(
+    eng.add_argument(
         "--replicas", type=int, default=0,
         help="standby replica workers per shard (promoted on primary death)",
     )
-    sh.add_argument(
+    eng.add_argument(
         "--wal-dir", default=None,
         help="write-ahead log directory: batches are durable before they "
         "apply; a directory holding a prior log is recovered first",
     )
-    sh.add_argument("--seed", type=int, default=0)
-
-    win = sub.add_parser(
-        "window", help="sliding-window hull engine demo (drifting clusters)"
-    )
-    win.add_argument("--keys", type=int, default=16, help="keyed streams")
-    win.add_argument(
-        "--n", type=int, default=100_000, help="total records across all keys"
-    )
-    win.add_argument("--r", type=int, default=32, help="adaptive parameter r")
-    win.add_argument(
-        "--batch", type=int, default=10_000, help="records per ingest batch"
-    )
-    mode = win.add_mutually_exclusive_group()
+    mode = eng.add_mutually_exclusive_group()
     mode.add_argument(
         "--last-n", type=int, default=None,
-        help="count-based window per key (default 5000)",
+        help="count-based window per key (default: no window)",
     )
     mode.add_argument(
         "--horizon", type=float, default=None,
         help="time-based window in time units (records carry ts)",
     )
-    win.add_argument(
+    eng.add_argument(
         "--max-delay", type=float, default=None,
-        help="bounded-lateness tolerance (time windows only): records are "
+        help="bounded-lateness tolerance (needs --horizon): records are "
         "fed out of order within this bound, reordered by the watermark, "
         "and later-than-watermark records are counted and dropped",
     )
-    win.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process StreamEngine)",
-    )
-    win.add_argument(
+    eng.add_argument(
         "--snapshot", default=None,
         help="write an engine snapshot here and verify restore",
     )
-    win.add_argument("--seed", type=int, default=0)
+    eng.add_argument(
+        "--format", choices=["prom", "json"], default=None,
+        help="print the obs page after the report: Prometheus text "
+        "exposition or JSON snapshot (default: no page)",
+    )
+    eng.add_argument(
+        "--watch", type=float, default=None,
+        help="print per-second rate pages at least this many seconds "
+        "apart while the workload runs",
+    )
+    eng.add_argument("--seed", type=int, default=0)
 
     gw = sub.add_parser(
         "gateway",
@@ -255,46 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = ephemeral, printed on start); the main port serves "
         "/metrics too",
     )
-
-    met = sub.add_parser(
-        "metrics",
-        help="run a keyed workload and dump/watch the obs registry",
-    )
-    met.add_argument("--keys", type=int, default=32, help="keyed streams")
-    met.add_argument(
-        "--n", type=int, default=100_000, help="total records across all keys"
-    )
-    met.add_argument("--r", type=int, default=32, help="adaptive parameter r")
-    met.add_argument(
-        "--batch", type=int, default=10_000, help="records per ingest batch"
-    )
-    met.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process StreamEngine)",
-    )
-    mode = met.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--last-n", type=int, default=None,
-        help="count-based window per key (default: no window)",
-    )
-    mode.add_argument(
-        "--horizon", type=float, default=None,
-        help="time-based window in time units (records carry ts)",
-    )
-    met.add_argument(
-        "--max-delay", type=float, default=None,
-        help="bounded-lateness tolerance (needs --horizon)",
-    )
-    met.add_argument(
-        "--format", choices=["prom", "json"], default="prom",
-        help="output format: Prometheus text exposition or JSON snapshot",
-    )
-    met.add_argument(
-        "--watch", type=float, default=None,
-        help="re-print the page at least this many seconds apart while "
-        "the workload runs (default: dump once at the end)",
-    )
-    met.add_argument("--seed", type=int, default=0)
 
     dur = sub.add_parser(
         "durable",
@@ -440,153 +363,29 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_engine(args: argparse.Namespace) -> int:
+    import json
     import time
 
     import numpy as np
 
     from .core import AdaptiveHull
-    from .engine import StreamEngine
-    from .geometry import area as polygon_area
+    from .obs import ScrapeHistory, render_snapshot
+    from .queries import diameter, width
+    from .streams import bounded_shuffle, drifting_clusters_stream
 
     if args.keys < 1:
         raise SystemExit("engine: --keys must be >= 1")
+    if args.n < 1:
+        raise SystemExit("engine: --n must be >= 1")
     if args.batch < 1:
         raise SystemExit("engine: --batch must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    keys = np.array([f"stream-{i:04d}" for i in range(args.keys)])
-    centers = rng.uniform(-100.0, 100.0, (args.keys, 2))
-
-    engine = StreamEngine(lambda: AdaptiveHull(args.r))
-    t0 = time.perf_counter()
-    done = 0
-    while done < args.n:
-        b = min(args.batch, args.n - done)
-        idx = rng.integers(0, args.keys, b)
-        pts = centers[idx] + rng.normal(0.0, 2.0, (b, 2))
-        engine.ingest_arrays(keys[idx], pts)
-        done += b
-    elapsed = time.perf_counter() - t0
-
-    stats = engine.stats()
-    print(f"streams      : {stats.streams}")
-    print(f"records      : {stats.points_ingested:,} in {stats.batches_ingested} batches")
-    print(f"stored       : {stats.sample_points:,} sample points "
-          f"(bound {args.keys * (2 * args.r + 1):,})")
-    print(f"maintenance  : {stats.evictions} evictions, "
-          f"{stats.bucket_merges} bucket merges, "
-          f"{stats.bucket_expiries} bucket expiries")
-    print(f"throughput   : {done / elapsed:,.0f} records/sec")
-    areas = sorted(
-        ((abs(polygon_area(engine.hull(k))), k) for k in engine.keys()),
-        reverse=True,
-    )
-    print("largest hulls:")
-    for a, k in areas[:5]:
-        print(f"  {k}: area {a:.2f}, {len(engine.hull(k))} vertices")
-
-    if args.snapshot:
-        path = engine.snapshot(args.snapshot)
-        restored = StreamEngine.restore(path, lambda: AdaptiveHull(args.r))
-        ok = all(restored.hull(k) == engine.hull(k) for k in engine.keys())
-        print(f"snapshot     : {path} ({path.stat().st_size:,} bytes)")
-        print(f"restore check: {len(engine)} keys, identical hulls: {ok}")
-        if not ok:
-            return 1
-    return 0
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    if args.keys < 1:
-        raise SystemExit("shard: --keys must be >= 1")
-    if args.batch < 1:
-        raise SystemExit("shard: --batch must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("shard: --workers must be >= 1")
-    engine, restore = _tier_engine(args, "shard")
-    rng = np.random.default_rng(args.seed)
-    keys = np.array([f"stream-{i:04d}" for i in range(args.keys)])
-    centers = rng.uniform(-100.0, 100.0, (args.keys, 2))
-
-    with engine:
-        replay = getattr(engine, "last_replay", None)
-        if replay is not None:
-            print(f"recovered    : {replay['entries']} WAL entries "
-                  f"({replay['records']:,} records, "
-                  f"{replay['rejected']} rejected)")
-        t0 = time.perf_counter()
-        done = 0
-        while done < args.n:
-            b = min(args.batch, args.n - done)
-            idx = rng.integers(0, args.keys, b)
-            pts = centers[idx] + rng.normal(0.0, 2.0, (b, 2))
-            engine.ingest_arrays(keys[idx], pts)
-            done += b
-        elapsed = time.perf_counter() - t0
-
-        stats = engine.stats()
-        loads = ", ".join(
-            f"shard {i}: {s['streams']} keys / {s['points_ingested']:,} pts"
-            for i, s in enumerate(stats.per_shard)
-        )
-        print(f"workers      : {args.workers}")
-        print(f"streams      : {stats.streams}")
-        print(f"records      : {stats.points_ingested:,} in "
-              f"{stats.batches_ingested} batches")
-        print(f"stored       : {stats.sample_points:,} sample points")
-        print(f"throughput   : {done / elapsed:,.0f} records/sec")
-        print(f"ring load    : {loads}")
-        if args.replicas:
-            print(f"replicas     : {stats.standbys} standbys, "
-                  f"{stats.promotions} promotions")
-        if engine.wal is not None:
-            print(f"wal          : seq {engine.wal.last_seq} in "
-                  f"{args.wal_dir}")
-        # One whole-ring reduction serves all three global answers.
-        from .queries import diameter, width
-
-        merged = engine.merged_summary()
-        print(f"global hull  : {len(merged.hull())} vertices over "
-              f"{merged.points_seen:,} points")
-        print(f"global diam  : {diameter(merged):.4f}")
-        print(f"global width : {width(merged):.4f}")
-
-        if args.snapshot:
-            path = engine.snapshot(args.snapshot)
-            restored = restore(path)
-            try:
-                all_keys = engine.keys()
-                ok = all(restored.hull(k) == engine.hull(k) for k in all_keys)
-            finally:
-                restored.close()
-            print(f"snapshot     : {path} ({path.stat().st_size:,} bytes)")
-            print(f"restore check: {len(all_keys)} keys, identical hulls: {ok}")
-            if not ok:
-                return 1
-    return 0
-
-
-def _cmd_window(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from .core import AdaptiveHull
-    from .queries import diameter
-    from .streams import drifting_clusters_stream
-    from .window import WindowConfig
-
-    if args.keys < 1:
-        raise SystemExit("window: --keys must be >= 1")
-    if args.batch < 1:
-        raise SystemExit("window: --batch must be >= 1")
-    engine_cm, restore = _tier_engine(
-        args, "window", default_window=WindowConfig(last_n=5000)
-    )
+    if args.watch is not None and args.watch < 0.0:
+        raise SystemExit("engine: --watch must be >= 0")
+    engine_cm, restore = _tier_engine(args, "engine")
+    # A recovered WAL's logged window wins over the flags.
     window = engine_cm.window
+    timed = window is not None and window.timed
+    max_delay = window.max_delay if timed else None
 
     rng = np.random.default_rng(args.seed)
     pts = drifting_clusters_stream(
@@ -596,97 +395,141 @@ def _cmd_window(args: argparse.Namespace) -> int:
         rng.integers(0, args.keys, args.n)
     ]
     # One time unit per 1000 records; only sent for time-based windows.
-    ts = np.arange(args.n, dtype=np.float64) / 1000.0
+    # A recovered log's records come first, so a resumed stream's event
+    # times stay ahead of its clock and of its last heartbeat.
+    ts = (engine_cm.points_ingested + np.arange(args.n)) / 1000.0
+    if engine_cm.points_ingested and max_delay is not None:
+        ts += 2 * max_delay
     order = np.arange(args.n)
-    if window is not None and window.max_delay is not None:
+    if max_delay is not None:
         # Bounded lateness: deliver the stream out of order (each
         # record delayed < max_delay) — the watermark reorders it.
-        from .streams import bounded_shuffle
+        order = bounded_shuffle(ts, max_delay, seed=args.seed)
 
-        order = bounded_shuffle(ts, window.max_delay, seed=args.seed)
+    history = ScrapeHistory()
+    span = args.watch or None
 
-    all_time = AdaptiveHull(args.r)  # the contrast: extremes never age out
-    all_time.insert_many(pts)  # fed outside the timed region
-
-    def run(engine):
-        t0 = time.perf_counter()
+    ok = True
+    with engine_cm as engine:
+        replay = getattr(engine, "last_replay", None)
+        if replay is not None:
+            print(f"recovered    : {replay['entries']} WAL entries "
+                  f"({replay['records']:,} records, "
+                  f"{replay['rejected']} rejected)")
+        if args.watch is not None:
+            history.record(engine.stats().obs)
+        t0 = last_print = time.perf_counter()
         for s in range(0, args.n, args.batch):
-            sl = order[s : min(s + args.batch, args.n)]
-            kw = {"ts": ts[sl]} if window.timed else {}
-            engine.ingest_arrays(keys[sl], pts[sl], **kw)
-        if window.max_delay is not None:
+            sl = order[s : s + args.batch]
+            engine.ingest_arrays(
+                keys[sl], pts[sl], ts=ts[sl] if timed else None
+            )
+            if args.watch is not None and (
+                time.perf_counter() - last_print >= args.watch
+            ):
+                # Rates, not totals: this scrape differenced against
+                # the previous one (see repro.obs.history).
+                history.record(engine.stats().obs)
+                print(json.dumps(history.rates(span=span), indent=2,
+                                 sort_keys=True)
+                      if args.format == "json" else history.render(span=span))
+                print(f"# --- after {s + len(sl):,}/{args.n:,} records ---")
+                last_print = time.perf_counter()
+        if max_delay is not None:
             # Heartbeat past the last event so the watermark passes
             # everything still buffered before we query (2x the bound:
             # (t + d) - d can round below t in floats).
-            engine.advance_time(float(ts[-1]) + 2 * window.max_delay)
-        return time.perf_counter() - t0
+            engine.advance_time(float(ts[-1]) + 2 * max_delay)
+        elapsed = time.perf_counter() - t0
 
-    mode = (
-        f"last_n={window.last_n}" if not window.timed
-        else f"horizon={window.horizon}"
-        + (
-            f" max_delay={window.max_delay}"
-            if window.max_delay is not None
-            else ""
-        )
-    )
-    with engine_cm as engine:
-        elapsed = run(engine)
         stats = engine.stats()
-        late = engine.late_dropped
-        # One whole-engine reduction serves both global answers.
+        print(f"engine       : {_engine_label(args, window)}")
+        print(f"streams      : {stats.streams}")
+        print(f"records      : {stats.points_ingested:,} in "
+              f"{stats.batches_ingested} batches")
+        stored = f"{stats.sample_points:,} sample points"
+        if window is not None:
+            stored += (f" in {stats.buckets} buckets ({stats.bucket_merges} "
+                       f"bucket merges, {stats.bucket_expiries} bucket "
+                       "expiries)")
+        print(f"stored       : {stored}")
+        print(f"throughput   : {args.n / elapsed:,.0f} records/sec")
+        if args.workers:
+            loads = ", ".join(
+                f"shard {i}: {sh['streams']} keys / "
+                f"{sh['points_ingested']:,} pts"
+                for i, sh in enumerate(stats.per_shard)
+            )
+            print(f"ring load    : {loads}")
+        if args.replicas:
+            print(f"replicas     : {stats.standbys} standbys, "
+                  f"{stats.promotions} promotions")
+        if engine.wal is not None:
+            print(f"wal          : seq {engine.wal.last_seq} in "
+                  f"{args.wal_dir}")
+        # One whole-engine reduction serves every global answer.
         merged = engine.merged_summary()
-        merged_hull = merged.hull()
-        windowed_diam = diameter(merged) if merged_hull else 0.0
-        snapshot_ok = None
+        hull = merged.hull()
+        diam = diameter(merged)
+        print(f"global hull  : {len(hull)} vertices over "
+              f"{merged.points_seen:,} points")
+        print(f"global diam  : {diam:.4f}")
+        print(f"global width : {width(merged):.4f}")
+        if max_delay is not None:
+            print(f"event time   : shuffled within {max_delay}, "
+                  f"{engine.late_dropped} late drops, "
+                  f"{stats.buffered} still buffered")
+        if window is not None:
+            all_time = AdaptiveHull(args.r)  # extremes never age out
+            all_time.insert_many(pts)
+            print(f"window hull  : {len(hull)} vertices, "
+                  f"diameter {diam:.3f}")
+            print(f"all-time hull: {len(all_time.hull())} vertices, "
+                  f"diameter {diameter(all_time):.3f}  "
+                  "<- stale extremes retained")
+
         if args.snapshot:
             path = engine.snapshot(args.snapshot)
+            all_keys = engine.keys()
             with restore(path) as restored:
-                snapshot_ok = all(
-                    restored.hull(k) == engine.hull(k)
-                    for k in engine.keys()
-                )
+                ok = all(restored.hull(k) == engine.hull(k) for k in all_keys)
+            print(f"snapshot     : {path} ({path.stat().st_size:,} bytes)")
+            print(f"restore check: {len(all_keys)} keys, identical hulls: {ok}")
+        if args.format is not None:
+            obs = engine.stats().obs
+            print(json.dumps(obs, indent=2, sort_keys=True)
+                  if args.format == "json" else render_snapshot(obs))
+    return 0 if ok else 1
 
+
+def _engine_label(args, window) -> str:
+    """Tier, window mode and r, as the ``engine`` report and the
+    ``gateway`` ready line print them."""
+    if window is None:
+        mode = "no window"
+    elif not window.timed:
+        mode = f"last_n={window.last_n}"
+    else:
+        mode = f"horizon={window.horizon}"
+        if window.max_delay is not None:
+            mode += f" max_delay={window.max_delay}"
     tier = f"sharded x{args.workers}" if args.workers else "in-process"
-    print(f"engine       : {tier}, window {mode}, r={args.r}")
-    print(f"streams      : {stats.streams}")
-    print(f"records      : {stats.points_ingested:,} in "
-          f"{stats.batches_ingested} batches")
-    print(f"stored       : {stats.sample_points:,} sample points in "
-          f"{stats.buckets} buckets")
-    print(f"maintenance  : {stats.bucket_merges} bucket merges, "
-          f"{stats.bucket_expiries} bucket expiries")
-    if window.max_delay is not None:
-        print(f"event time   : shuffled within {window.max_delay}, "
-              f"{late} late drops, {stats.buffered} still buffered")
-    print(f"throughput   : {args.n / elapsed:,.0f} records/sec")
-    print(f"window hull  : {len(merged_hull)} vertices, "
-          f"diameter {windowed_diam:.3f}")
-    print(f"all-time hull: {len(all_time.hull())} vertices, "
-          f"diameter {diameter(all_time):.3f}  <- stale extremes retained")
-    if snapshot_ok is not None:
-        print(f"restore check: identical hulls: {snapshot_ok}")
-        if not snapshot_ok:
-            return 1
-    return 0
+    return f"{tier}, {mode}, r={args.r}"
 
 
-def _tier_engine(args, prog: str, default_window=None):
+def _tier_engine(args, prog: str):
     """Validate the shared tier/window flags and build the requested
     engine (both tiers implement EngineProtocol, so callers stay
     tier-agnostic).  Returns ``(engine, restore)`` with ``restore`` the
-    tier's snapshot-file loader.  Shared by the ``shard``, ``window``,
-    ``metrics`` and ``gateway`` subcommands so their construction
-    cannot drift."""
+    tier's snapshot-file loader.  Shared by the ``engine`` and
+    ``gateway`` subcommands so their construction cannot drift."""
     import math
 
     from .window import WindowConfig
 
     if args.workers < 0:
         raise SystemExit(f"{prog}: --workers must be >= 0")
-    last_n = getattr(args, "last_n", None)
-    horizon = getattr(args, "horizon", None)
-    max_delay = getattr(args, "max_delay", None)
+    last_n, horizon, max_delay = args.last_n, args.horizon, args.max_delay
     if last_n is not None and last_n < 1:
         raise SystemExit(f"{prog}: --last-n must be >= 1")
     if horizon is not None and not (horizon > 0.0 and math.isfinite(horizon)):
@@ -696,18 +539,17 @@ def _tier_engine(args, prog: str, default_window=None):
             raise SystemExit(f"{prog}: --max-delay needs --horizon")
         if not (max_delay > 0.0 and math.isfinite(max_delay)):
             raise SystemExit(f"{prog}: --max-delay must be positive and finite")
+    window = None
     if last_n is not None:
         window = WindowConfig(last_n=last_n)
     elif horizon is not None:
         window = WindowConfig(horizon=horizon, max_delay=max_delay)
-    else:
-        window = default_window
-    standbys = getattr(args, "replicas", 0) or 0
+    standbys = args.replicas
     if standbys < 0:
         raise SystemExit(f"{prog}: --replicas must be >= 0")
     if standbys and not args.workers:
         raise SystemExit(f"{prog}: --replicas needs --workers >= 1")
-    wal_dir = getattr(args, "wal_dir", None)
+    wal_dir = args.wal_dir
     durability = None
     recovering = False
     if wal_dir is not None:
@@ -757,73 +599,6 @@ def _tier_engine(args, prog: str, default_window=None):
     return engine, restore
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    import numpy as np
-
-    from .obs import ScrapeHistory, render_snapshot
-
-    if args.keys < 1:
-        raise SystemExit("metrics: --keys must be >= 1")
-    if args.batch < 1:
-        raise SystemExit("metrics: --batch must be >= 1")
-    if args.watch is not None and args.watch < 0.0:
-        raise SystemExit("metrics: --watch must be >= 0")
-    engine_cm, _ = _tier_engine(args, "metrics")
-    window = engine_cm.window
-
-    rng = np.random.default_rng(args.seed)
-    keys = np.array([f"stream-{i:04d}" for i in range(args.keys)])
-    centers = rng.uniform(-100.0, 100.0, (args.keys, 2))
-    timed = window is not None and window.timed
-    history = ScrapeHistory()
-    span = args.watch or None
-
-    def page(engine) -> str:
-        obs = engine.stats().obs
-        if args.format == "json":
-            return json.dumps(obs, indent=2, sort_keys=True)
-        return render_snapshot(obs)
-
-    def rates_page(engine) -> str:
-        # Watch prints *rates*, not totals: difference the scrape taken
-        # now against the previous watch tick's (see repro.obs.history).
-        history.record(engine.stats().obs)
-        if args.format == "json":
-            return json.dumps(
-                history.rates(span=span), indent=2, sort_keys=True
-            )
-        return history.render(span=span)
-
-    with engine_cm as engine:
-        done = 0
-        if args.watch is not None:
-            history.record(engine.stats().obs)
-        last_print = time.perf_counter()
-        while done < args.n:
-            b = min(args.batch, args.n - done)
-            idx = rng.integers(0, args.keys, b)
-            pts = centers[idx] + rng.normal(0.0, 2.0, (b, 2))
-            kw = {}
-            if timed:
-                kw["ts"] = (np.arange(done, done + b, dtype=np.float64)
-                            / 1000.0)
-            engine.ingest_arrays(keys[idx], pts, **kw)
-            done += b
-            if args.watch is not None and (
-                time.perf_counter() - last_print >= args.watch
-            ):
-                print(rates_page(engine))
-                print(f"# --- after {done:,}/{args.n:,} records ---")
-                last_print = time.perf_counter()
-        # A global query so shard/transport reply paths show traffic.
-        engine.merged_hull()
-        print(page(engine))
-    return 0
-
-
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import asyncio
     import time
@@ -858,21 +633,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             ],
             admin_token="admin-token",
         )
-
-    async def scrape_metrics(port: int) -> str:
-        """One plain-HTTP GET /metrics off the dedicated listener."""
-        reader, writer = await asyncio.open_connection(args.host, port)
-        try:
-            writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-            await writer.drain()
-            raw = await reader.read()
-        finally:
-            writer.close()
-            await writer.wait_closed()
-        head, _, body = raw.partition(b"\r\n\r\n")
-        if b" 200 " not in head.split(b"\r\n", 1)[0]:
-            raise RuntimeError(f"/metrics scrape failed: {head[:120]!r}")
-        return body.decode("utf-8")
 
     async def selfcheck(port: int, metrics_port=None) -> bool:
         import numpy as np
@@ -994,7 +754,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         # one) and print the page so an outer harness (CI) can grep
         # metric families from this command's stdout.
         if metrics_port is not None:
-            text = await scrape_metrics(metrics_port)
+            scraper = GatewayClient(args.host, metrics_port, tenants[0].token)
+            text = await scraper.metrics_text()
+            await scraper.aclose()
             where = f"metrics port {metrics_port}"
         else:
             text = await clients[0].metrics_text()
@@ -1046,23 +808,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 port=args.port,
                 metrics_port=args.metrics_port,
             ) as gateway:
-                window = engine.window
-                mode = (
-                    "no window" if window is None
-                    else f"last_n={window.last_n}" if not window.timed
-                    else f"horizon={window.horizon}"
-                    + (
-                        f" max_delay={window.max_delay}"
-                        if window.max_delay is not None
-                        else ""
-                    )
-                )
-                tier = (
-                    f"sharded x{args.workers}" if args.workers
-                    else "in-process"
-                )
                 print(f"gateway      : http://{args.host}:{gateway.port} "
-                      f"({tier}, {mode}, r={args.r})")
+                      f"({_engine_label(args, engine.window)})")
                 source = (
                     args.tenants if args.tenants is not None
                     else "demo registry (tokens alpha-token/beta-token, "
@@ -1309,10 +1056,7 @@ _COMMANDS = {
     "work": _cmd_work,
     "demo": _cmd_demo,
     "engine": _cmd_engine,
-    "shard": _cmd_shard,
-    "window": _cmd_window,
     "gateway": _cmd_gateway,
-    "metrics": _cmd_metrics,
     "durable": _cmd_durable,
 }
 

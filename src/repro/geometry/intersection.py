@@ -45,7 +45,12 @@ def clip_halfplane(poly: Sequence[Point], a: Point, b: Point) -> List[Point]:
 def _line_segment_cross(
     a: Point, b: Point, c: Point, d: Point
 ) -> Optional[Point]:
-    """Intersection of line ``ab`` with segment ``cd`` (None if parallel)."""
+    """Intersection of line ``ab`` with segment ``cd`` (None if parallel).
+
+    Callers only ask when ``c`` and ``d`` lie on opposite sides of the
+    line, so the true crossing lies on the segment: ``t`` is clamped to
+    [0, 1], or a nearly collinear ``cd`` would extend far past ``d``.
+    """
     r = (b[0] - a[0], b[1] - a[1])
     s = (d[0] - c[0], d[1] - c[1])
     denom = r[0] * s[1] - r[1] * s[0]
@@ -54,6 +59,7 @@ def _line_segment_cross(
     # Solve c + t*s on the line through a with direction r:
     # cross(r, c + t*s - a) = 0  =>  t = cross(r, a - c) / cross(r, s).
     t = (r[0] * (a[1] - c[1]) - r[1] * (a[0] - c[0])) / denom
+    t = min(max(t, 0.0), 1.0)
     return (c[0] + t * s[0], c[1] + t * s[1])
 
 

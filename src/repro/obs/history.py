@@ -1,6 +1,6 @@
 """In-process scrape history: a ring buffer of registry snapshots.
 
-``python -m repro metrics --watch`` (and anything else that polls
+``python -m repro engine --watch`` (and anything else that polls
 ``stats().obs``) sees monotonically growing totals, which are useless on
 a dashboardless terminal — what an operator wants is *rates*.
 :class:`ScrapeHistory` keeps the last N ``(timestamp, snapshot)`` pairs

@@ -204,9 +204,9 @@ class ShardedEngine(EngineBase):
     The engine is a context manager; on exit the workers are stopped
     and joined.  All public methods raise :class:`ShardError` when a
     worker reports a failure or has died.  Per-batch parent-side costs
-    are split out in :attr:`timings` (``partition_s`` routing/slicing,
-    ``send_s`` wire writes, ``collect_s`` waiting on acks).  A
-    whole-ring :meth:`merged_summary` is served from each worker's
+    are split out in the ``repro_shard_partition_seconds``,
+    ``repro_shard_send_seconds`` and ``repro_shard_collect_seconds``
+    histograms.  A whole-ring :meth:`merged_summary` is served from each worker's
     cached shard fold until that shard next mutates.
     """
 
@@ -252,12 +252,6 @@ class ShardedEngine(EngineBase):
         # verbatim — one array comparison replaces the per-key ring
         # walk, keeping per-batch partitioning off the parent hot path.
         self._batch_route: Optional[Tuple[np.ndarray, np.ndarray, List]] = None
-        #: Parent-side cost split, accumulated per ingest batch.
-        self.timings: Dict[str, float] = {
-            "partition_s": 0.0,
-            "send_s": 0.0,
-            "collect_s": 0.0,
-        }
         # Per-shard metric children resolved once (hot-path increments
         # then skip the label lookup).
         self._send_hist = [
@@ -758,9 +752,7 @@ class ShardedEngine(EngineBase):
                 if slice_watermark is not None:
                     msg = msg + (slice_watermark,)
                 requests.append((i, msg))
-        dt = time.perf_counter() - t0
-        self.timings["partition_s"] += dt
-        OBS.SHARD_PARTITION_SECONDS.observe(dt)
+        OBS.SHARD_PARTITION_SECONDS.observe(time.perf_counter() - t0)
         total = len(arr) if keep is None else int(keep.sum())
         return self._fan_out(
             requests,
@@ -789,9 +781,7 @@ class ShardedEngine(EngineBase):
         batch.  Subscribers are notified once, after the whole batch,
         with the touched keys plus the keys that had late drops."""
         self._check_open()
-        t0 = time.perf_counter()
         sent, send_error = self._send_all(requests)
-        self.timings["send_s"] += time.perf_counter() - t0
         if batch_max_ts is not None:
             if self._event_clock is not None:
                 self._event_clock.observe(batch_max_ts)
@@ -806,15 +796,12 @@ class ShardedEngine(EngineBase):
                     )
                 else:
                     self._record_late(key, n)
-        t0 = time.perf_counter()
         try:
             changed = sum(self._collect_all(sent))
         except ShardError as exc:
             if send_error is None:
                 send_error = exc
             changed = 0
-        finally:
-            self.timings["collect_s"] += time.perf_counter() - t0
         if send_error is not None:
             raise send_error
         if total:

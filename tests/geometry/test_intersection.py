@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -100,6 +100,12 @@ class TestIntersectConvex:
 
     @settings(max_examples=60)
     @given(point_lists, point_lists)
+    # A crossing that lands a rounding error past the next clip line
+    # once extended a nearly collinear segment far outside both.
+    @example(
+        [(19.0, 17.12), (9.5, 0.0), (-2.0, 0.0)],
+        [(19.0, 17.12), (-1.0, -18.0), (-2.0, 0.0)],
+    )
     def test_intersection_inside_both(self, pts1, pts2):
         p = convex_hull(pts1)
         q = convex_hull(pts2)

@@ -32,30 +32,47 @@ class TestParser:
 
     def test_engine_defaults(self):
         args = build_parser().parse_args(["engine"])
-        assert args.keys == 200
+        assert args.keys == 64 and args.n == 100_000
+        assert args.batch == 10_000
         assert args.r == 32
         assert args.snapshot is None
+        assert args.format is None and args.watch is None
 
     def test_window_defaults(self):
-        args = build_parser().parse_args(["window"])
+        args = build_parser().parse_args(["engine"])
         assert args.last_n is None and args.horizon is None
+        assert args.max_delay is None
         assert args.workers == 0
 
     def test_window_modes_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["window", "--last-n", "100", "--horizon", "5"]
+                ["engine", "--last-n", "100", "--horizon", "5"]
             )
 
     def test_window_rejects_bad_window_values(self):
         for argv in (
-            ["window", "--last-n", "0"],
-            ["window", "--horizon", "0"],
-            ["window", "--horizon", "-3"],
-            ["window", "--horizon", "inf"],
+            ["engine", "--last-n", "0"],
+            ["engine", "--horizon", "0"],
+            ["engine", "--horizon", "-3"],
+            ["engine", "--horizon", "inf"],
+            ["engine", "--max-delay", "0.5"],
         ):
-            with pytest.raises(SystemExit, match="window: --"):
+            with pytest.raises(SystemExit, match="engine: --"):
                 main(argv)
+
+    def test_engine_rejects_bad_sizes(self):
+        for flag, value in (
+            ("--n", "0"), ("--n", "-5"), ("--keys", "0"), ("--batch", "0"),
+            ("--watch", "-1"),
+        ):
+            with pytest.raises(SystemExit, match=f"engine: {flag} must be"):
+                main(["engine", flag, value])
+
+    def test_folded_commands_rejected(self):
+        for command in ("shard", "window", "metrics"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_serve_tick_requires_horizon(self):
         with pytest.raises(SystemExit, match="--tick"):
@@ -114,7 +131,7 @@ class TestCommands:
         assert (
             main(
                 [
-                    "window",
+                    "engine",
                     "--keys", "6",
                     "--n", "6000",
                     "--r", "8",
@@ -126,7 +143,7 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "window last_n=500" in out
+        assert "engine       : in-process, last_n=500, r=8" in out
         assert "all-time hull" in out
         assert "identical hulls: True" in out
         assert snap.exists()
@@ -135,7 +152,7 @@ class TestCommands:
         assert (
             main(
                 [
-                    "window",
+                    "engine",
                     "--keys", "4",
                     "--n", "4000",
                     "--r", "8",
@@ -146,8 +163,36 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "window horizon=1.5" in out
+        assert "engine       : in-process, horizon=1.5, r=8" in out
         assert "bucket expiries" in out
+
+    def test_engine_sharded_event_time_snapshot(self, tmp_path, capsys):
+        snap = tmp_path / "ring.json"
+        assert main([
+            "engine", "--keys", "8", "--n", "4000", "--r", "8",
+            "--batch", "1000", "--workers", "2", "--horizon", "1.0",
+            "--max-delay", "0.2", "--snapshot", str(snap),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "sharded x2, horizon=1.0 max_delay=0.2" in out
+        assert "ring load    : shard 0:" in out
+        assert "late drops, 0 still buffered" in out
+        assert "restore check: 8 keys, identical hulls: True" in out
+        assert snap.exists()
+
+    def test_engine_format_json(self, capsys):
+        import json
+
+        assert main(
+            ["engine", "--keys", "4", "--n", "2000", "--format", "json"]
+        ) == 0
+        out = capsys.readouterr().out
+        page = json.loads(out[out.index("\n{") + 1:])
+        values = page["repro_ingest_records_total"]["values"]
+        assert values['tier="engine"'] >= 2000
+        # Without --format the report carries no page.
+        assert main(["engine", "--keys", "4", "--n", "2000"]) == 0
+        assert "repro_ingest_records_total" not in capsys.readouterr().out
 
     def test_fig10(self, tmp_path, capsys):
         assert main(["fig10", "--out", str(tmp_path), "--n", "800"]) == 0
@@ -175,16 +220,16 @@ class TestDurableParser:
         assert not args.replay and not args.truncate
 
     def test_shard_gains_wal_and_replica_flags(self):
-        args = build_parser().parse_args(["shard"])
+        args = build_parser().parse_args(["engine"])
         assert args.wal_dir is None and args.replicas == 0
         args = build_parser().parse_args(
-            ["shard", "--wal-dir", "d", "--replicas", "2"]
+            ["engine", "--wal-dir", "d", "--replicas", "2"]
         )
         assert args.wal_dir == "d" and args.replicas == 2
 
     def test_negative_replicas_rejected(self):
         with pytest.raises(SystemExit, match="--replicas"):
-            main(["shard", "--workers", "2", "--replicas", "-1"])
+            main(["engine", "--workers", "2", "--replicas", "-1"])
 
     def test_replicas_need_workers(self):
         with pytest.raises(SystemExit, match="--replicas"):
@@ -221,7 +266,7 @@ class TestDurableCommands:
     def test_shard_wal_roundtrip(self, tmp_path, capsys):
         wal = str(tmp_path / "wal")
         argv = [
-            "shard", "--n", "4000", "--keys", "8",
+            "engine", "--n", "4000", "--keys", "8",
             "--workers", "2", "--wal-dir", wal,
         ]
         assert main(argv) == 0
@@ -249,7 +294,7 @@ class TestDurableCommands:
         wal = str(tmp_path / "wal")
         snap = tmp_path / "rec.json"
         assert main(
-            ["shard", "--n", "2000", "--workers", "2", "--wal-dir", wal]
+            ["engine", "--n", "2000", "--workers", "2", "--wal-dir", wal]
         ) == 0
         capsys.readouterr()
         assert main(
@@ -263,7 +308,7 @@ class TestDurableCommands:
     def test_recover_compact_skips_replayed_tail(self, tmp_path, capsys):
         wal = str(tmp_path / "wal")
         assert main(
-            ["shard", "--n", "2000", "--workers", "2", "--wal-dir", wal]
+            ["engine", "--n", "2000", "--workers", "2", "--wal-dir", wal]
         ) == 0
         capsys.readouterr()
         assert main(["durable", "recover", wal, "--compact"]) == 0
@@ -273,6 +318,20 @@ class TestDurableCommands:
         assert main(["durable", "recover", wal]) == 0
         out = capsys.readouterr().out
         assert "recovered    : 0 WAL entries" in out
+
+    def test_timed_wal_resume_continues_event_time(self, tmp_path, capsys):
+        # A resumed run numbers its event times on from the recovered
+        # records, so the strict time window accepts them.
+        argv = [
+            "engine", "--n", "2000", "--keys", "4", "--r", "8",
+            "--horizon", "1.0", "--wal-dir", str(tmp_path / "wal"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "recovered    : 1 WAL entries" in out
+        assert "records      : 4,000 in 2 batches" in out
 
     def test_compact_refuses_tier_override(self, tmp_path):
         with pytest.raises(SystemExit, match="--compact"):
@@ -309,8 +368,8 @@ class TestDurableCommands:
     def test_metrics_watch_prints_rates(self, capsys):
         assert main(
             [
-                "metrics", "--n", "20000", "--keys", "4",
-                "--batch", "2000", "--watch", "0.0001",
+                "engine", "--n", "20000", "--keys", "4",
+                "--batch", "2000", "--watch", "0.0001", "--format", "prom",
             ]
         ) == 0
         out = capsys.readouterr().out
