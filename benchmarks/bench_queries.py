@@ -13,6 +13,7 @@ from _util import paper_n
 from repro.core import AdaptiveHull
 from repro.queries import (
     ContainmentTracker,
+    DirectionalExtentIndex,
     OverlapTracker,
     SeparationTracker,
     diameter,
@@ -54,6 +55,17 @@ def test_query_width(benchmark, summary):
 
 def test_query_extent(benchmark, summary):
     assert benchmark(extent, summary, (0.6, 0.8)) > 0
+
+
+def test_query_direction_index_build(benchmark, summary):
+    """Building the Section 6 index: sort the directions once, O(r log r)."""
+    assert len(benchmark(DirectionalExtentIndex, summary)) >= summary.r
+
+
+def test_query_direction_index_support(benchmark, summary):
+    """One O(log r) support query on a built (fresh) index."""
+    idx = DirectionalExtentIndex(summary)
+    assert benchmark(idx.support, 0.7) > 0
 
 
 def test_query_farthest_neighbor(benchmark, summary):

@@ -10,9 +10,8 @@ paper's Section 6 queries against the live summaries.  A snapshot/
 restore round trip at the end shows the checkpoint story — same hulls,
 same counters, ready to keep streaming.
 
-This is the engine-powered version of the ClusterHull example (which
-discovers clusters itself); here the cluster key arrives with each
-record, the production-common case.
+The cluster key arrives with each record, the production-common case,
+so each cluster's hull is one keyed summary.
 
 Run:  python examples/cluster_monitoring.py
 """

@@ -136,7 +136,6 @@ from .engine import (
     Subscription,
     TimePolicy,
 )
-from .extensions.clusterhull import ClusterHull
 from .serve import AsyncHullService
 from .shard import HashRing, ShardedEngine, ShardError, ShardStats, SummarySpec, tree_merge
 from .queries import (
@@ -167,7 +166,6 @@ __all__ = [
     "DudleyKernelHull",
     "ExactHull",
     "RandomSampleHull",
-    "ClusterHull",
     "StreamEngine",
     "EngineStats",
     "Subscription",

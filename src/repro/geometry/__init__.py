@@ -69,12 +69,6 @@ from .distance import (
     polygon_distance,
     separating_line,
 )
-from .minkowski import (
-    distance_via_minkowski,
-    intersects_via_minkowski,
-    minkowski_difference,
-    minkowski_sum,
-)
 from .circle import Circle, smallest_enclosing_circle
 
 __all__ = [
@@ -104,9 +98,6 @@ __all__ = [
     # distance
     "point_polygon_distance", "polygon_distance", "separating_line",
     "linearly_separable",
-    # minkowski
-    "minkowski_sum", "minkowski_difference", "distance_via_minkowski",
-    "intersects_via_minkowski",
     # circle
     "Circle", "smallest_enclosing_circle",
 ]

@@ -3,8 +3,7 @@
 The paper answers "extent in a given direction" in O(log r) time by
 searching the summary's vertices in direction order.  This module
 builds that index: a snapshot of a summary's sampling directions and
-their extrema in a :class:`~repro.structures.circular_map.CircularMap`
-(skip-list backed), supporting:
+their extrema as two parallel lists sorted by angle, supporting:
 
 * ``support(theta)`` — an inner bound on the stream's support function
   from the nearest sampled direction, with the Lemma 3.1 guarantee
@@ -13,11 +12,11 @@ their extrema in a :class:`~repro.structures.circular_map.CircularMap`
   a ``cos(theta0/2)``-factor approximation like the sampled diameter;
 * ``extreme_vertex(theta)`` — the stored witness point.
 
-Each query is one circular floor/ceiling search: O(log r).  The index
-is built from a snapshot of the summary, but it is *not* allowed to go
-silently stale: it remembers the summary's
+Each query is one circular floor/ceiling ``bisect``: O(log r).  The
+index is built from a snapshot of the summary, but it is *not* allowed
+to go silently stale: it remembers the summary's
 :attr:`~repro.core.base.HullSummary.generation` at build time and every
-query re-checks it (one integer comparison), rebuilding the map
+query re-checks it (one integer comparison), re-sorting the directions
 (O(r log r)) when an ``insert``/``merge``/``load_state`` has mutated
 the summary since.
 """
@@ -25,13 +24,13 @@ the summary since.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from ..core.adaptive_hull import AdaptiveHull
 from ..core.base import HullSummary
 from ..core.uniform_hull import UniformHull
 from ..geometry.vec import Point, dot, unit
-from ..structures.circular_map import CircularMap
 
 __all__ = ["DirectionalExtentIndex"]
 
@@ -56,19 +55,19 @@ class DirectionalExtentIndex:
         self._build()
 
     def _build(self) -> None:
-        self._map = CircularMap()
-        self._n = 0
+        best = {}
         for theta, point in self._collect(self._summary):
             if point is None:
                 continue
-            # Keep the farthest point per direction key.
-            existing = self._map.get(theta)
+            # Keep the farthest point per direction key (first on ties).
+            existing = best.get(theta)
             if existing is None or dot(point, unit(theta)) > dot(
                 existing, unit(theta)
             ):
-                self._map.replace(theta, point)
-        self._n = len(self._map)
-        if self._n == 0:
+                best[theta] = point
+        self._keys = sorted(best)
+        self._points = [best[k] for k in self._keys]
+        if not self._keys:
             raise ValueError(
                 "cannot index an empty summary (a windowed summary may "
                 "have expired every bucket; the index recovers once the "
@@ -131,18 +130,21 @@ class DirectionalExtentIndex:
 
     def __len__(self) -> int:
         self._refresh()
-        return self._n
+        return len(self._keys)
 
-    # -- queries (each one circular-map search: O(log r)) -----------------
+    # -- queries (each one circular bisect: O(log r)) ----------------------
 
     def extreme_vertex(self, theta: float) -> Point:
         """Stored extremum of the sampled direction nearest to ``theta``."""
         self._refresh()
         theta %= _TWO_PI
-        lo, hi = self._map.neighbours(theta)
-        gap_lo = (theta - lo[0]) % _TWO_PI
-        gap_hi = (hi[0] - theta) % _TWO_PI
-        return lo[1] if gap_lo <= gap_hi else hi[1]
+        keys = self._keys
+        # Floor wraps to the last entry (index -1), ceiling to the first.
+        lo = bisect_right(keys, theta) - 1
+        hi = bisect_left(keys, theta) % len(keys)
+        gap_lo = (theta - keys[lo]) % _TWO_PI
+        gap_hi = (keys[hi] - theta) % _TWO_PI
+        return self._points[lo] if gap_lo <= gap_hi else self._points[hi]
 
     def support(self, theta: float) -> float:
         """Inner bound on the stream support function at angle ``theta``.
@@ -161,7 +163,7 @@ class DirectionalExtentIndex:
         """Largest angular gap between indexed directions (quality of
         the support approximation: error factor ``1 - cos(gap/2)``)."""
         self._refresh()
-        angles = sorted(self._map)
+        angles = self._keys
         if len(angles) == 1:
             return _TWO_PI
         worst = 0.0

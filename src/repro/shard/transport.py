@@ -129,20 +129,28 @@ def extract_arrays(msg: Any) -> Tuple[Any, List[np.ndarray]]:
     return walk(msg), buffers
 
 
-def _ref_nbytes(ref: _NDRef) -> Tuple[np.dtype, int, int]:
-    """Validate a decoded :class:`_NDRef`; returns (dtype, count, nbytes).
+def _ref_nbytes(ref: _NDRef, n_buffers: int) -> Tuple[np.dtype, int, int]:
+    """Validate a decoded :class:`_NDRef` against the ``n_buffers``
+    received buffers; returns (dtype, count, nbytes).
 
     Raises:
-        TransportError: on dtypes/shapes that cannot describe a real
+        TransportError: on a placeholder that cannot describe a real
             buffer (the fuzz path: garbage must fail loudly here).
     """
     try:
-        dt = np.dtype(ref.dtype)
+        index, dtype, shape = ref.index, ref.dtype, ref.shape
+    except AttributeError as exc:  # unpickled without its state
+        raise TransportError("array placeholder without state") from exc
+    if not isinstance(index, int) or not 0 <= index < n_buffers:
+        raise TransportError(f"buffer index {index!r} out of range")
+    try:
+        dt = np.dtype(dtype)
     except Exception as exc:
-        raise TransportError(f"undecodable dtype {ref.dtype!r}") from exc
-    shape = tuple(ref.shape)
-    if len(shape) > _MAX_NDIM:
-        raise TransportError(f"array rank {len(shape)} exceeds {_MAX_NDIM}")
+        raise TransportError(f"undecodable dtype {dtype!r}") from exc
+    if dt.hasobject or dt.itemsize == 0:
+        raise TransportError(f"dtype {dt} cannot describe a raw buffer")
+    if not isinstance(shape, tuple) or len(shape) > _MAX_NDIM:
+        raise TransportError(f"bad array shape {shape!r}")
     count = 1
     for dim in shape:
         if not isinstance(dim, int) or dim < 0:
@@ -160,15 +168,14 @@ def restore_arrays(skeleton: Any, buffers: Sequence[Any]) -> Any:
 
     Raises:
         TransportError: when a placeholder's dtype/shape does not match
-            its buffer's length (a truncated or mismatched frame).
+            its buffer's length (a truncated or mismatched frame), or
+            the skeleton refers to itself.
     """
 
     def walk(obj):
         if isinstance(obj, _NDRef):
-            if not 0 <= obj.index < len(buffers):
-                raise TransportError(f"buffer index {obj.index} out of range")
+            dt, count, nbytes = _ref_nbytes(obj, len(buffers))
             buf = buffers[obj.index]
-            dt, count, nbytes = _ref_nbytes(obj)
             if len(memoryview(buf)) != nbytes:
                 raise TransportError(
                     f"buffer {obj.index} holds {len(memoryview(buf))} bytes, "
@@ -183,7 +190,10 @@ def restore_arrays(skeleton: Any, buffers: Sequence[Any]) -> Any:
             return {k: walk(v) for k, v in obj.items()}
         return obj
 
-    return walk(skeleton)
+    try:
+        return walk(skeleton)
+    except RecursionError as exc:  # a corrupted pickle memo made a cycle
+        raise TransportError("skeleton contains itself") from exc
 
 
 def _loads_skeleton(data: bytes) -> Any:

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+#: Rows of center steps ``drifting_clusters_stream`` draws at a time.
+_DRIFT_BLOCK_ROWS = 4096
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
@@ -133,8 +137,8 @@ def clusters_stream(
     sigma: float = 0.5,
     seed: int = 0,
 ) -> np.ndarray:
-    """``n`` points from a mixture of Gaussian clusters (Section 8's
-    motivating case for the ClusterHull extension)."""
+    """``n`` points from a mixture of Gaussian clusters (one hull over
+    the whole stream also covers the empty space between them)."""
     g = _rng(seed)
     centers_arr = np.asarray(centers, dtype=float)
     idx = g.integers(0, len(centers_arr), n)
@@ -168,10 +172,25 @@ def drifting_clusters_stream(
     idx = g.integers(0, n_clusters, n)
     noise = g.normal(0.0, sigma, (n, 2))
     # Center trajectories: cumulative random walks, sampled at the
-    # point's arrival index — vectorised over the whole stream.
-    steps = g.normal(0.0, drift, (n, n_clusters, 2))
-    walks = centers[None, :, :] + np.cumsum(steps, axis=0)
-    return walks[np.arange(n), idx] + noise
+    # point's arrival index.  The steps are drawn in row blocks, so
+    # memory is O(n + block * n_clusters) rather than O(n * n_clusters);
+    # each block's first row takes the running sum before its cumsum,
+    # so every partial sum (and the seeded stream) is the one a single
+    # cumsum over the whole stream gives, bit for bit.
+    out = np.empty((n, 2))
+    carry = None
+    for start in range(0, n, _DRIFT_BLOCK_ROWS):
+        rows = idx[start:start + _DRIFT_BLOCK_ROWS]
+        steps = g.normal(0.0, drift, (len(rows), n_clusters, 2))
+        if carry is not None:
+            steps[0] += carry
+        walks = np.cumsum(steps, axis=0)
+        carry = walks[-1]
+        out[start:start + len(rows)] = (
+            centers[rows] + walks[np.arange(len(rows)), rows]
+        )
+    out += noise
+    return out
 
 
 def spiral_stream(

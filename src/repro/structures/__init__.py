@@ -1,17 +1,13 @@
-"""Container substrates: skip list, threshold queues, circular map."""
+"""Container substrates: the Section 5.3 threshold queues."""
 
-from .skiplist import SkipList
 from .bucket_queue import (
     HeapThresholdQueue,
     Pow2BucketQueue,
     make_threshold_queue,
 )
-from .circular_map import CircularMap
 
 __all__ = [
-    "SkipList",
     "HeapThresholdQueue",
     "Pow2BucketQueue",
     "make_threshold_queue",
-    "CircularMap",
 ]

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
+    contains_point,
     convex_hull,
+    edges,
     linearly_separable,
     point_polygon_distance,
+    point_segment_distance,
     polygon_distance,
+    segments_intersect,
     separating_line,
 )
 from repro.geometry.vec import dist, dot, perp, sub
@@ -114,6 +118,45 @@ class TestPolygonDistance:
         d, _ = polygon_distance(p, q)
         brute = min(dist(a, b) for a in p for b in q)
         assert d <= brute + 1e-9
+
+
+def _oracle_distance(p, q):
+    """Brute-force distance between convex polygons ``p`` and ``q``.
+
+    Zero when they overlap: a vertex of one lies inside the other, or
+    two edges cross.  Otherwise the closest pair is realised between a
+    vertex and an edge, so it is the minimum over every vertex-to-edge
+    distance in both directions.
+    """
+    if any(contains_point(q, v) for v in p) or any(
+        contains_point(p, v) for v in q
+    ):
+        return 0.0
+    if any(
+        segments_intersect(a, b, c, d) for a, b in edges(p) for c, d in edges(q)
+    ):
+        return 0.0
+    return min(
+        min(point_segment_distance(v, a, b) for v in p for a, b in edges(q)),
+        min(point_segment_distance(v, a, b) for v in q for a, b in edges(p)),
+    )
+
+
+class TestBruteForceOracle:
+    """``polygon_distance`` and ``linearly_separable`` against an
+    independent O(n * m) scan over vertices and edges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_lists, point_lists)
+    def test_distance_matches_oracle(self, pts1, pts2):
+        p = convex_hull(pts1)
+        q = convex_hull(pts2)
+        if len(p) < 3 or len(q) < 3:
+            return
+        want = _oracle_distance(p, q)
+        assert polygon_distance(p, q)[0] == pytest.approx(want, rel=1e-6, abs=1e-7)
+        if want > 1e-6:
+            assert linearly_separable(p, q)
 
 
 class TestSeparation:

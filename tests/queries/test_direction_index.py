@@ -11,6 +11,7 @@ from repro.core import AdaptiveHull, UniformHull
 from repro.geometry.vec import dot, unit
 from repro.queries import DirectionalExtentIndex
 from repro.streams import as_tuples, ellipse_stream
+from repro.window import WindowedHullSummary
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,109 @@ class TestStalenessRefresh:
             assert s.generation == 0
             s.insert_many(small_disk_points[:200])
             assert s.generation > 0
+
+
+# -- brute-force parity ---------------------------------------------------
+
+_TWO_PI = 2.0 * math.pi
+
+_SCHEMES = {
+    "adaptive": lambda: AdaptiveHull(8),
+    "uniform": lambda: UniformHull(8),
+    # No sampling directions of its own: the hull-vertex normal fan.
+    "exact": ExactHull,
+    # Also the generic fallback, over a window that expires points.
+    "windowed": lambda: WindowedHullSummary(
+        lambda: AdaptiveHull(8), last_n=24, head_capacity=8
+    ),
+}
+
+
+def _brute_table(summary):
+    """Direction key -> farthest collected point along it (the first
+    one on ties), from one linear pass over the collected entries."""
+    groups = {}
+    for theta, p in DirectionalExtentIndex._collect(summary):
+        if p is not None:
+            groups.setdefault(theta, []).append(p)
+    return {
+        k: max(ps, key=lambda p, u=unit(k): dot(p, u))
+        for k, ps in groups.items()
+    }
+
+
+def _brute_extreme(table, theta):
+    """Nearest key by a linear scan: circular floor vs ceiling of
+    ``theta``, the floor winning ties."""
+    t = theta % _TWO_PI
+    below = [k for k in table if k <= t]
+    above = [k for k in table if k >= t]
+    lo = max(below) if below else max(table)
+    hi = min(above) if above else min(table)
+    return table[lo] if (t - lo) % _TWO_PI <= (hi - t) % _TWO_PI else table[hi]
+
+
+def _brute_max_gap(table):
+    ks = sorted(table)
+    if len(ks) == 1:
+        return _TWO_PI
+    return max(b - a for a, b in zip(ks, ks[1:] + [ks[0] + _TWO_PI]))
+
+
+def _assert_matches_brute(idx, summary, thetas):
+    table = _brute_table(summary)
+    assert len(idx) == len(table)
+    assert idx.max_gap() == _brute_max_gap(table)
+    for theta in list(table) + list(thetas):
+        want = _brute_extreme(table, theta)
+        assert idx.extreme_vertex(theta) == want
+        assert idx.support(theta) == dot(want, unit(theta))
+        far = _brute_extreme(table, theta + math.pi)
+        assert idx.extent(theta) == dot(want, unit(theta)) + dot(
+            far, unit(theta + math.pi)
+        )
+
+
+_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+_angles = st.one_of(
+    st.just(0.0),
+    st.just(_TWO_PI),
+    st.floats(min_value=-30.0, max_value=-1e-9),
+    st.floats(min_value=_TWO_PI, max_value=40.0),
+    st.floats(min_value=0.0, max_value=_TWO_PI),
+)
+
+
+class TestBruteForceParity:
+    """Every query equals a linear scan over the collected directions,
+    on the sampled schemes and on the generic hull-normal fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_SCHEMES)),
+        st.lists(st.tuples(_coords, _coords), min_size=1, max_size=60),
+        st.lists(_angles, max_size=20),
+        st.data(),
+    )
+    def test_queries_match_scan(self, scheme, pts, thetas, data):
+        summary = _SCHEMES[scheme]()
+        for p in pts:
+            summary.insert(p)
+        idx = DirectionalExtentIndex(summary)
+        keys = sorted(_brute_table(summary))
+        # Exact keys shifted by whole turns must land on the same entry.
+        turns = data.draw(st.lists(st.integers(-2, 2), max_size=5))
+        k = data.draw(st.integers(0, len(keys) - 1))
+        thetas = thetas + [keys[k] + j * _TWO_PI for j in turns]
+        _assert_matches_brute(idx, summary, thetas)
+
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_stream_summaries_match_scan(self, scheme, stream_points):
+        summary = _SCHEMES[scheme]()
+        summary.insert_many(stream_points[:1500])
+        idx = DirectionalExtentIndex(summary)
+        thetas = [-7.0, -1e-300, 0.0, 1.0, math.pi, _TWO_PI, 9.5, 1e6]
+        _assert_matches_brute(idx, summary, thetas)
+        # Mutation triggers a rebuild that still matches the scan.
+        summary.insert((300.0, -200.0))
+        _assert_matches_brute(idx, summary, thetas)

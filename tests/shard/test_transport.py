@@ -23,6 +23,7 @@ from repro.shard.transport import (
     MAX_BUFFERS,
     FramePipe,
     TransportError,
+    _NDRef,
     dumps,
     extract_arrays,
     loads,
@@ -216,6 +217,32 @@ class TestRejection:
             loads(bytes(raw))
         except TransportError:
             pass
+
+    @pytest.mark.parametrize(
+        "ref, buf",
+        [
+            (_NDRef.__new__(_NDRef), b""),  # pickled state never applied
+            (_NDRef("0", "|i1", (1,)), b"\0"),
+            (_NDRef(0, "|i1", True), b"\0"),
+            (_NDRef(0, "|i1", None), b"\0"),
+            (_NDRef(0, "|O", (1,)), b"\0" * 8),
+            (_NDRef(0, "|V0", (1,)), b""),
+        ],
+        ids=["no-state", "str-index", "bool-shape", "none-shape",
+             "object-dtype", "zero-itemsize"],
+    )
+    def test_malformed_placeholder_fails_cleanly(self, ref, buf):
+        """Single-byte flips in the pickled skeleton decode to these
+        placeholders; each once leaked a raw TypeError, AttributeError
+        or ValueError instead of a TransportError."""
+        with pytest.raises(TransportError):
+            restore_arrays([ref], [buf])
+
+    def test_self_referential_skeleton_fails_cleanly(self):
+        skeleton = []
+        skeleton.append(skeleton)
+        with pytest.raises(TransportError, match="itself"):
+            restore_arrays(skeleton, [])
 
     def test_bad_magic_rejected(self):
         data = dumps(("op",))

@@ -1,7 +1,6 @@
 """Stateful (rule-based) testing of the threshold queues against a model.
 
-The skiplist and circular map have stateful suites; this adds one for
-the paper's Section 5.3 structure.  Hypothesis drives random
+Covers the paper's Section 5.3 structure.  Hypothesis drives random
 interleavings of pushes and monotone driver advances and checks every
 pop against a reference model that knows only the documented contract:
 

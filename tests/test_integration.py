@@ -14,14 +14,12 @@ import pytest
 import repro
 from repro import (
     AdaptiveHull,
-    ClusterHull,
     ContainmentTracker,
     ExactHull,
     FixedSizeAdaptiveHull,
     SeparationTracker,
     UniformHull,
     diameter,
-    width,
 )
 from repro.experiments.metrics import hull_distance
 from repro.geometry import convex_hull
@@ -192,17 +190,3 @@ class TestFailureInjection:
         bound = 16 * math.pi * h.perimeter / 256
         worst = max(point_polygon_distance(h.hull(), p) for p in pts)
         assert worst <= bound + 1e-9
-
-
-class TestClusterScenario:
-    def test_cluster_monitoring_end_to_end(self):
-        from repro.streams import clusters_stream
-
-        ch = ClusterHull(r=16, max_clusters=5, join_distance=2.0)
-        for p in as_tuples(clusters_stream(3000, seed=16)):
-            ch.insert(p)
-        assert len(ch.clusters) == 3
-        # Per-cluster extremal queries still work on each summary.
-        for c in ch.clusters:
-            if len(c.hull()) >= 3:
-                assert width(c.summary) > 0
