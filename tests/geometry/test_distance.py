@@ -155,8 +155,21 @@ class TestBruteForceOracle:
             return
         want = _oracle_distance(p, q)
         assert polygon_distance(p, q)[0] == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_lists, point_lists)
+    def test_separability_matches_oracle(self, pts1, pts2):
+        p = convex_hull(pts1)
+        q = convex_hull(pts2)
+        if len(p) < 3 or len(q) < 3:
+            return
+        want = _oracle_distance(p, q)
+        # Separable <=> a positive gap; touching boundaries within
+        # tolerance may go either way, so only the clear cases count.
         if want > 1e-6:
             assert linearly_separable(p, q)
+        if not linearly_separable(p, q):
+            assert want <= 1e-6
 
 
 class TestSeparation:
