@@ -42,8 +42,7 @@ class RandomSampleHull(HullSummary):
 
     def get_config(self):
         """Constructor kwargs that recreate an equivalent empty summary
-        (the RNG restarts from the stored seed; the replay-based state
-        snapshot is documented as lossy for this scheme)."""
+        (the RNG restarts from the seed)."""
         return {"r": self.r, "seed": self.seed}
 
     def insert(self, p: Point) -> bool:

@@ -122,7 +122,7 @@ class AdaptiveHull(HullSummary):
         # sweep.  All three are invalidated at the _rebuild_hull
         # chokepoint.  _needs_full_sync forces the classic full walk
         # when the forest is not known to be steady (fresh summary,
-        # load_state drops pure-leaf roots).
+        # a restored one).
         self._needs_full_sync = True
         self._registry_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._tree_count_cache: Optional[Tuple[List[int], int]] = None
@@ -371,10 +371,21 @@ class AdaptiveHull(HullSummary):
     def state_dict(self) -> Dict:
         """JSON-serialisable snapshot: uniform layer, refinement forest
         (internal-node extrema only — endpoints and dyadic ranges are
-        derivable), and the operation counters."""
+        derivable), threshold queue and the operation counters.
+
+        Queue entries are ``[key, node number]`` pairs in pop order,
+        stale ones included: which nodes a drain reaches, and in what
+        order, is history the forest does not record.  Entries of
+        removed nodes are dropped (a drain skips them)."""
+        number = {id(node): i for i, node in enumerate(self._forest_nodes())}
         return {
             "uniform": self._uniform.state_dict(),
             "roots": [self._tree_state(root) for root in self._roots],
+            "queue": [
+                [key, number[id(node)]]
+                for key, node in self._queue.entries()
+                if node.alive
+            ],
             "counters": {
                 "points_seen": self.points_seen,
                 "points_processed": self.points_processed,
@@ -388,11 +399,11 @@ class AdaptiveHull(HullSummary):
     def load_state(self, state: Dict) -> None:
         """Restore a :meth:`state_dict` snapshot (in place).
 
-        The refinement forest is rebuilt node-for-node and the threshold
-        queue repopulated with one entry per internal node at its
-        current threshold, so the restored summary has the identical
-        sample set and hull, and continues streaming under the same
-        policy.
+        The refinement forest and the threshold queue are rebuilt
+        node for node, so the restored summary has the identical sample
+        set and hull, and continues streaming exactly as the live one
+        would.  Docs written before the queue was saved get one entry
+        per internal node at its current threshold instead.
         """
         roots_state = state["roots"]
         if len(roots_state) != self.r:
@@ -403,12 +414,16 @@ class AdaptiveHull(HullSummary):
         self._queue = make_threshold_queue(self.queue_mode)
         self._roots = [None] * self.r
         for j, tree in enumerate(roots_state):
-            if tree is None:
-                continue
             a = self._uniform.extreme(j)
             b = self._uniform.extreme(j + 1)
-            if a is None or b is None:
-                raise ValueError(f"snapshot tree {j} has no uniform edge under it")
+            if a is None or b is None or a == b:
+                if tree is not None:
+                    raise ValueError(
+                        f"snapshot tree {j} has no uniform edge under it"
+                    )
+                continue
+            # A pure-leaf tree is saved as None but lives as a leaf root
+            # (the ring and the budget scan both see it).
             root = RefinementNode(
                 DyadicDirection.uniform(j, self.r),
                 DyadicDirection.uniform(j + 1, self.r),
@@ -418,6 +433,15 @@ class AdaptiveHull(HullSummary):
             )
             self._restore_tree(root, tree)
             self._roots[j] = root
+        nodes = self._forest_nodes()
+        if "queue" in state:
+            for key, i in state["queue"]:
+                self._queue.put(key, nodes[i])
+        else:
+            for node in nodes:
+                if not node.is_leaf:
+                    thr = refine_threshold(self._ell_tilde(node), self.r, node.depth)
+                    self._queue.push(thr, node)
         counters = state["counters"]
         self.points_seen = int(counters["points_seen"])
         self.points_processed = int(counters["points_processed"])
@@ -425,11 +449,9 @@ class AdaptiveHull(HullSummary):
         self.unrefinements = int(counters["unrefinements"])
         self.nodes_visited = int(counters["nodes_visited"])
         self.ring_discards = int(counters["ring_discards"])
-        # Snapshots store pure-leaf trees as None (their roots are
-        # recreated lazily), so the restored forest is not node-for-node
-        # the live one; the next surviving point must take the classic
-        # full walk, which recreates those roots exactly as sequential
-        # streaming would.
+        # The next surviving point takes the classic full walk, a no-op
+        # on the steady forest that needs no certificate from before the
+        # snapshot.
         self._needs_full_sync = True
         self._rebuild_hull()
 
@@ -448,11 +470,25 @@ class AdaptiveHull(HullSummary):
         if tree is None:
             return
         node.refine((float(tree["t"][0]), float(tree["t"][1])))
-        thr = refine_threshold(self._ell_tilde(node), self.r, node.depth)
-        self._queue.push(thr, node)
         assert node.left is not None and node.right is not None
         self._restore_tree(node.left, tree["left"])
         self._restore_tree(node.right, tree["right"])
+
+    def _forest_nodes(self) -> List[RefinementNode]:
+        """Every forest node, leaves included: trees in order, each in
+        pre-order (the numbering saved queue entries refer to)."""
+        out: List[RefinementNode] = []
+        for root in self._roots:
+            if root is None:
+                continue
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                out.append(node)
+                if node.left is not None:
+                    stack.append(node.right)
+                    stack.append(node.left)
+        return out
 
     # -- internals -----------------------------------------------------------
 

@@ -206,6 +206,8 @@ class HullSummary(abc.ABC):
             pass
 
     # -- persistence ---------------------------------------------------------
+    # Only the schemes in repro.streams.io.scheme_registry() define a
+    # snapshot (state_dict/load_state), and each restores field for field.
 
     def get_config(self) -> dict:
         """Constructor kwargs that recreate an equivalent empty summary.
@@ -222,32 +224,6 @@ class HullSummary(abc.ABC):
         today; a scheme that retired an option drops (or refuses) it
         here, so snapshot restore compares like with like."""
         return config
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the summary state.
-
-        Default: record the current samples for replay.  This is exact
-        for schemes whose state is a function of their samples (e.g.
-        the exact hull); the core streaming schemes override it with a
-        field-level snapshot that also restores counters and internal
-        structure bit-for-bit.
-        """
-        return {
-            "replay_samples": [[p[0], p[1]] for p in self.samples()],
-            "points_seen": getattr(self, "points_seen", None),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot into this (fresh) summary."""
-        for p in state["replay_samples"]:
-            self.insert((float(p[0]), float(p[1])))
-        seen = state.get("points_seen")
-        if seen is not None and hasattr(self, "points_seen"):
-            try:
-                self.points_seen = int(seen)
-            except AttributeError:
-                pass  # read-only counter (derived property)
-        self._bump_generation()
 
 
 def tree_merge(summaries: Iterable[HullSummary]) -> HullSummary:

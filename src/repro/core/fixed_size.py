@@ -31,6 +31,7 @@ import math
 from typing import List, Optional, Tuple
 
 from ..geometry.vec import Point, dot
+from ..structures.bucket_queue import make_threshold_queue
 from .adaptive_hull import AdaptiveHull
 from .refinement import RefinementNode
 from .weights import sample_weight
@@ -84,7 +85,11 @@ class FixedSizeAdaptiveHull(AdaptiveHull):
         return state
 
     def load_state(self, state) -> None:
+        """Adaptive restore, minus the threshold queue: a live budget
+        summary never queues a node, so neither may a restored one (a
+        doc from before the queue was saved would refill it)."""
         super().load_state(state)
+        self._queue = make_threshold_queue(self.queue_mode)
         self.swaps = int(state.get("swaps", 0))
 
     # -- merging --------------------------------------------------------------
@@ -110,6 +115,10 @@ class FixedSizeAdaptiveHull(AdaptiveHull):
     def _should_unrefine(self, node: RefinementNode, perim: float) -> bool:
         """Budget mode: thresholds never unrefine; only rebalance does."""
         return False
+
+    def _drain_queue(self) -> None:
+        """Budget mode: no threshold queue, so nothing falls due."""
+        return
 
     def _try_refine(self, node: RefinementNode) -> None:
         """Budget mode: no threshold-driven refinement inside the walk."""

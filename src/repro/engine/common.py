@@ -327,8 +327,7 @@ class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
     def _init_event_time(self, on_late) -> None:
         """Event-time policy: strict monotonic unless the window opts
         into bounded lateness, in which case the engine owns the
-        watermark clock.  ``on_late`` (or the window's own hook) needs
-        a bounded-lateness window."""
+        watermark clock.  ``on_late`` needs a bounded-lateness window."""
         self.time_policy = (
             self.window.time_policy
             if self.window is not None and self.window.timed
@@ -339,14 +338,14 @@ class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             if self.time_policy.bounded
             else None
         )
-        hook = on_late if on_late is not None else (
-            self.window.on_late if self.window is not None else None
-        )
-        if hook is not None and not self.time_policy.bounded:
-            raise ValueError(
-                "on_late requires a bounded-lateness window (max_delay)"
-            )
-        self._on_late = hook
+        if on_late is not None:
+            if not self.time_policy.bounded:
+                raise ValueError(
+                    "on_late requires a bounded-lateness window (max_delay)"
+                )
+            if not callable(on_late):
+                raise TypeError("on_late must be callable")
+        self._on_late = on_late
         self._late_drops: Dict[Hashable, int] = {}
 
     # -- lifecycle ---------------------------------------------------------

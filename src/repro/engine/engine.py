@@ -63,7 +63,7 @@ from ..geometry.vec import Point
 from ..obs import metrics as OBS
 from ..obs import registry as obs_registry
 from ..obs.trace import span
-from ..streams.io import summary_from_state, summary_state
+from ..streams.io import require_registered, summary_from_state, summary_state
 from ..window import WindowConfig, windowed_factory
 from .common import (
     BaseStats,
@@ -116,7 +116,10 @@ class StreamEngine(EngineBase):
 
     Args:
         factory: zero-argument callable producing a fresh summary; one
-            is created lazily per key on first touch.
+            is created lazily per key on first touch.  Its scheme must
+            be in :func:`repro.streams.io.scheme_registry` (the schemes
+            whose snapshot restores exactly); construction refuses
+            any other with an error that names it.
         max_streams: optional LRU bound on live summaries; exceeding it
             evicts the least-recently-touched key (after calling
             ``on_evict``).
@@ -142,8 +145,7 @@ class StreamEngine(EngineBase):
             key's later-than-watermark batch slice *before* it is
             dropped (``points`` is ``(n, 2)``, ``ts`` parallel, and
             ``watermark`` the cut the records missed).  Count-only
-            accounting remains the default; the callback may also be
-            carried on ``WindowConfig(on_late=...)``.  Requires a
+            accounting remains the default.  Requires a
             bounded-lateness window.  Callback exceptions propagate
             (like ``on_evict``), failing the offending ingest call.
         durability: optional
@@ -173,6 +175,10 @@ class StreamEngine(EngineBase):
         if self.window is not None:
             self._factory = windowed_factory(factory, self.window)
         else:
+            # One probe build: the engine hosts only schemes whose
+            # snapshot restores exactly (restore, resize and replicas
+            # all rest on it).
+            require_registered(factory())
             self._factory = factory
         # Under bounded lateness the engine owns the watermark clock and
         # one reorder buffer per key (the window summaries themselves

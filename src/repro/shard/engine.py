@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.util import register_after_fork
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -265,15 +265,6 @@ class ShardedEngine(EngineBase):
         ]
         self._closed = False
         self._ctx = _default_context()
-        # Callbacks are parent-side policy: lateness is judged (and
-        # dead-lettered) before any worker sees a record, so the config
-        # shipped to workers must not carry the hook (it may not even
-        # pickle under spawn).
-        self._worker_window = (
-            replace(self.window, on_late=None)
-            if self.window is not None and self.window.on_late is not None
-            else self.window
-        )
         self._max_streams = max_streams
         self.standbys = int(standbys)
         #: Promotion events, oldest first: {"shard", "standbys_left"}.
@@ -314,7 +305,7 @@ class ShardedEngine(EngineBase):
                 child_conn,
                 self.spec,
                 self._max_streams,
-                self._worker_window,
+                self.window,
             ),
             name=name,
             daemon=True,

@@ -16,20 +16,25 @@ The core schemes (:class:`~repro.core.uniform_hull.UniformHull`,
 :class:`~repro.core.adaptive_hull.AdaptiveHull`,
 :class:`~repro.core.fixed_size.FixedSizeAdaptiveHull`) serialise their
 full internal state field-for-field — extrema, supports, refinement
-forest, operation counters — so a restored summary has the identical
-hull and keeps streaming under the identical policy.  Baselines fall
-back to replaying their samples (exact for schemes whose state is a
-function of their samples, such as the exact hull).  Values may include
-IEEE infinities (pre-first-point supports); Python's ``json`` module
-round-trips them natively.
+forest, threshold queue, operation counters — so a restored summary
+has the identical hull and keeps streaming exactly as the live one
+would.  So do the exact hull (its hull vertices are its whole state)
+and the windowed summary (every bucket in this format plus the window
+ledger).  Only the schemes in :func:`scheme_registry` have a snapshot;
+the other baselines (an RNG, a histogram, a kernel grid, a trained
+direction set) cannot restore exactly, so :func:`summary_state`
+refuses them.  Values may include IEEE infinities (pre-first-point
+supports); Python's ``json`` module round-trips them natively.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from functools import cache
 from pathlib import Path
-from typing import Dict, Iterator, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "load_stream",
     "replay",
     "scheme_registry",
+    "require_registered",
     "summary_state",
     "summary_from_state",
     "save_summary",
@@ -107,41 +113,53 @@ def load_stream(path: PathLike) -> np.ndarray:
     return arr
 
 
-def scheme_registry() -> Dict[str, type]:
-    """Summary classes addressable by name (lazy import: io must stay
-    importable without dragging the whole algorithm stack in).
+@cache
+def scheme_registry() -> Mapping[str, type]:
+    """The schemes whose snapshot restores field for field, by name
+    (lazy import: io must stay importable without dragging the whole
+    algorithm stack in; built once, read-only).
 
     Shared by snapshot restore and the shard layer's picklable summary
     specs — anywhere a scheme must travel as data instead of a factory
-    closure."""
-    from ..baselines import (
-        DudleyKernelHull,
-        ExactHull,
-        PartiallyAdaptiveHull,
-        RadialHistogramHull,
-        RandomSampleHull,
-    )
+    closure — so it is also the set of schemes the engine tiers host."""
+    from ..baselines import ExactHull
     from ..core import AdaptiveHull, FixedSizeAdaptiveHull, UniformHull
     from ..window import WindowedHullSummary
 
-    return {
+    return MappingProxyType({
         cls.__name__: cls
         for cls in (
             UniformHull,
             AdaptiveHull,
             FixedSizeAdaptiveHull,
             ExactHull,
-            DudleyKernelHull,
-            PartiallyAdaptiveHull,
-            RadialHistogramHull,
-            RandomSampleHull,
             WindowedHullSummary,
         )
-    }
+    })
+
+
+def require_registered(summary) -> None:
+    """Refuse a summary whose scheme has no exact snapshot.
+
+    Raises:
+        TypeError: naming the scheme, when it is not in
+            :func:`scheme_registry`.
+    """
+    cls = type(summary)
+    if scheme_registry().get(cls.__name__) is not cls:
+        raise TypeError(
+            f"{cls.__name__} has no exact snapshot (restorable schemes: "
+            f"{', '.join(sorted(scheme_registry()))})"
+        )
 
 
 def summary_state(summary) -> Dict:
-    """Serialise a hull summary to a JSON-compatible snapshot dict."""
+    """Serialise a hull summary to a JSON-compatible snapshot dict.
+
+    Raises:
+        TypeError: for a scheme outside :func:`scheme_registry`.
+    """
+    require_registered(summary)
     return {
         "format": SUMMARY_FORMAT,
         "version": SUMMARY_FORMAT_VERSION,

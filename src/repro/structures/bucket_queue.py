@@ -62,6 +62,15 @@ class HeapThresholdQueue:
         """The threshold actually used (exact for the heap queue)."""
         return threshold
 
+    def entries(self) -> List[Tuple[float, Any]]:
+        """Every ``(threshold, item)`` entry, in pop order."""
+        return [(e[0], e[2]) for e in sorted(self._heap, key=lambda e: e[:2])]
+
+    def put(self, key: float, item: Any) -> None:
+        """Re-add an :meth:`entries` pair (re-adding a whole list in
+        order restores its pop order)."""
+        self.push(key, item)
+
 
 class Pow2BucketQueue:
     """Bucketed queue keyed by ``floor(log2 threshold)``; O(1) amortized.
@@ -131,6 +140,16 @@ class Pow2BucketQueue:
         if threshold <= 0.0:
             return 0.0
         return 2.0 ** math.floor(math.log2(threshold))
+
+    def entries(self) -> List[Tuple[int, Any]]:
+        """Every ``(bucket, item)`` entry, in pop order."""
+        return [(b, item) for b in sorted(self._buckets) for item in self._buckets[b]]
+
+    def put(self, key: int, item: Any) -> None:
+        """Re-add an :meth:`entries` pair (re-adding a whole list in
+        order restores its pop order)."""
+        self._buckets.setdefault(key, []).append(item)
+        self._size += 1
 
 
 def make_threshold_queue(mode: str):

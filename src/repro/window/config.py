@@ -12,8 +12,8 @@ summary scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = ["WindowConfig", "without_warm_start"]
 
@@ -68,16 +68,8 @@ class WindowConfig:
             :class:`~repro.engine.time.ReorderBuffer` and release
             sorted runs once the watermark (``max ts - max_delay``)
             passes, while records later than the watermark are counted
-            and dropped.  See :mod:`repro.engine.time`.
-        on_late: optional dead-letter callback
-            ``callback(key, points, ts, watermark)`` the hosting engine
-            invokes with each key's later-than-watermark slice before
-            dropping it (requires ``max_delay``).  Callbacks are
-            runtime-only policy: they are excluded from comparison and
-            from :meth:`to_doc` (snapshots restore with count-only
-            accounting unless the restorer re-attaches a hook), and the
-            shard parent strips them before shipping the config to
-            workers (lateness is judged parent-side).
+            and dropped (after the hosting engine's ``on_late`` hook,
+            if any, sees them).  See :mod:`repro.engine.time`.
     """
 
     last_n: Optional[int] = None
@@ -85,7 +77,6 @@ class WindowConfig:
     head_capacity: Optional[int] = None
     level_width: int = 2
     max_delay: Optional[float] = None
-    on_late: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.last_n is None) == (self.horizon is None):
@@ -111,15 +102,6 @@ class WindowConfig:
                 )
             if not (math.isfinite(self.max_delay) and self.max_delay > 0.0):
                 raise ValueError("max_delay must be positive and finite")
-        if self.on_late is not None:
-            if self.max_delay is None:
-                raise ValueError(
-                    "on_late (dead-letter hook) requires bounded lateness "
-                    "(max_delay) — the strict policy raises on late "
-                    "records instead of dropping them"
-                )
-            if not callable(self.on_late):
-                raise TypeError("on_late must be callable")
 
     @property
     def timed(self) -> bool:

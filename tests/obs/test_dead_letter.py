@@ -9,7 +9,6 @@ from repro.core import AdaptiveHull
 from repro.engine import StreamEngine
 from repro.obs import registry as obs_registry
 from repro.shard import ShardedEngine, SummarySpec
-from repro.window import WindowConfig
 
 WINDOW = {"horizon": 50.0, "max_delay": 5.0}
 
@@ -66,17 +65,6 @@ def test_engine_on_late_receives_dropped_slices():
     )
 
 
-def test_engine_on_late_via_window_config():
-    hook = Collector()
-    cfg = WindowConfig(horizon=50.0, max_delay=5.0, on_late=hook)
-    engine = StreamEngine(lambda: AdaptiveHull(8), window=cfg)
-    push_late(engine)
-    check_calls(hook.calls)
-    # on_late is carried out-of-band: not serialised, not compared.
-    assert "on_late" not in cfg.to_doc()
-    assert cfg == WindowConfig(horizon=50.0, max_delay=5.0)
-
-
 def test_shard_on_late_fires_in_parent_process():
     hook = Collector()
     with ShardedEngine(
@@ -117,10 +105,15 @@ def test_on_late_requires_bounded_lateness():
             shards=2,
             on_late=lambda *a: None,
         )
-    with pytest.raises(ValueError):
-        WindowConfig(horizon=50.0, on_late=lambda *a: None)
-    with pytest.raises(TypeError):
-        WindowConfig(horizon=50.0, max_delay=5.0, on_late="nope")
+    with pytest.raises(TypeError, match="callable"):
+        StreamEngine(lambda: AdaptiveHull(8), window=WINDOW, on_late="nope")
+    with pytest.raises(TypeError, match="callable"):
+        ShardedEngine(
+            SummarySpec("AdaptiveHull", {"r": 8}),
+            shards=2,
+            window=WINDOW,
+            on_late="nope",
+        )
 
 
 def test_on_late_survives_snapshot_roundtrip():

@@ -12,8 +12,14 @@ import pytest
 
 from repro.engine import StreamEngine
 from repro.shard import ShardedEngine, ShardError, SummarySpec
+from repro.streams.io import summary_state
 
 SPEC = SummarySpec("AdaptiveHull", {"r": 8})
+SPECS = [
+    SPEC,
+    SummarySpec("FixedSizeAdaptiveHull", {"r": 8}),
+    SummarySpec("UniformHull", {"r": 16}),
+]
 
 
 def workload(n=400, n_keys=8, seed=3):
@@ -63,11 +69,12 @@ class TestSpawn:
 
 
 class TestPromotion:
-    def test_kill_mid_stream_loses_no_acknowledged_batch(self):
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.scheme)
+    def test_kill_mid_stream_loses_no_acknowledged_batch(self, spec):
         keys, pts, pool = workload()
-        ref = StreamEngine(SPEC.build)
-        with ShardedEngine(SPEC, shards=3, standbys=1) as eng, \
-                ShardedEngine(SPEC, shards=3) as ring_ref:
+        ref = StreamEngine(spec.build)
+        with ShardedEngine(spec, shards=3, standbys=1) as eng, \
+                ShardedEngine(spec, shards=3) as ring_ref:
             for lo in range(0, len(keys), 50):
                 eng.ingest_arrays(keys[lo:lo + 50], pts[lo:lo + 50])
                 ref.ingest_arrays(keys[lo:lo + 50], pts[lo:lo + 50])
@@ -78,6 +85,7 @@ class TestPromotion:
             # present, bit-identically.
             for k in pool:
                 assert eng.hull(k) == ref.hull(k)
+                assert summary_state(eng.get(k)) == summary_state(ref.get(k))
             assert eng.merged_hull() == ring_ref.merged_hull()
             stats = eng.stats()
             assert stats.promotions == 1

@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 from repro.shard import HashRing, ShardedEngine, ShardError, SummarySpec
+from repro.streams.io import summary_state
 from repro.window import WindowConfig
 
 SPEC = SummarySpec("AdaptiveHull", {"r": 8})
+# A migrated key travels as a snapshot doc, so the continue-after-move
+# tests run over schemes with different restore paths.
+SPECS = [
+    SPEC,
+    SummarySpec("FixedSizeAdaptiveHull", {"r": 8}),
+    SummarySpec("UniformHull", {"r": 16}),
+]
+by_scheme = pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.scheme)
 
 
 def workload(n=500, n_keys=24, seed=9):
@@ -25,12 +34,29 @@ def workload(n=500, n_keys=24, seed=9):
     return pool[idx], rng.normal(0.0, 10.0, (n, 2)), ts, pool
 
 
-def native_ring(shards, keys, pts, ts=None, window=None):
+def native_ring(shards, keys, pts, ts=None, window=None, spec=SPEC):
     """A reference ring born at the target size, fed the same stream."""
-    eng = ShardedEngine(SPEC, shards=shards, window=window)
+    eng = ShardedEngine(spec, shards=shards, window=window)
     kw = {} if ts is None else {"ts": ts}
     eng.ingest_arrays(keys, pts, **kw)
     return eng
+
+
+def resize_then_continue(spec, start, target):
+    """Feed half the stream, resize, feed the rest; every key's full
+    summary doc (counters and structure included) must match a ring
+    born at the target size."""
+    keys, pts, _, pool = workload()
+    half = len(keys) // 2
+    with ShardedEngine(spec, shards=start) as eng, \
+            native_ring(target, keys, pts, spec=spec) as ref:
+        eng.ingest_arrays(keys[:half], pts[:half])
+        eng.resize(target)
+        eng.ingest_arrays(keys[half:], pts[half:])
+        for k in pool:
+            assert eng.hull(k) == ref.hull(k)
+            assert summary_state(eng.get(k)) == summary_state(ref.get(k))
+        assert eng.stats().points_ingested == len(keys)
 
 
 class TestGrow:
@@ -77,16 +103,9 @@ class TestGrow:
                 if after != before[k]:
                     assert after in (2, 3)
 
-    def test_ingest_continues_after_grow(self):
-        keys, pts, _, pool = workload()
-        half = len(keys) // 2
-        with ShardedEngine(SPEC, shards=2) as eng, \
-                native_ring(3, keys, pts) as ref:
-            eng.ingest_arrays(keys[:half], pts[:half])
-            eng.resize(3)
-            eng.ingest_arrays(keys[half:], pts[half:])
-            for k in pool:
-                assert eng.hull(k) == ref.hull(k)
+    @by_scheme
+    def test_ingest_continues_after_grow(self, spec):
+        resize_then_continue(spec, 2, 3)
 
 
 class TestShrink:
@@ -102,6 +121,10 @@ class TestShrink:
             for k in pool:
                 assert eng.hull(k) == ref.hull(k)
             assert eng.merged_hull() == ref.merged_hull()
+
+    @by_scheme
+    def test_ingest_continues_after_shrink(self, spec):
+        resize_then_continue(spec, 4, 2)
 
     def test_shrink_retires_worker_processes(self):
         keys, pts, _, _ = workload(n=100)

@@ -126,32 +126,6 @@ class TestSummarySerialisation:
         assert restored.nodes_visited == original.nodes_visited
         restored.check_invariants()
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: __import__("repro").DudleyKernelHull(16),
-            lambda: __import__("repro").RadialHistogramHull(8),
-            lambda: __import__("repro").PartiallyAdaptiveHull(8, train_size=100),
-            lambda: __import__("repro").RandomSampleHull(10, seed=3),
-        ],
-    )
-    def test_baseline_registry_restore_reconstructs_config(self, factory, tmp_path):
-        from repro.streams.io import load_summary, save_summary
-
-        original = self._fed(factory, n=300)
-        restored = load_summary(save_summary(original, tmp_path / "b.json"))
-        assert type(restored) is type(original)
-        assert restored.get_config() == original.get_config()
-
-    def test_baseline_factory_config_mismatch_rejected(self, tmp_path):
-        from repro import DudleyKernelHull
-        from repro.streams.io import load_summary, save_summary
-
-        path = save_summary(self._fed(lambda: DudleyKernelHull(16), n=300),
-                            tmp_path / "d.json")
-        with pytest.raises(ValueError, match="different policy"):
-            load_summary(path, factory=lambda: DudleyKernelHull(64))
-
     def test_exact_hull_replay_snapshot(self, tmp_path):
         from repro.baselines import ExactHull
         from repro.streams.io import load_summary, save_summary
