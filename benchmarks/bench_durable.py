@@ -17,7 +17,7 @@ import numpy as np
 from _util import banner, paper_n, smoke, write_json, write_report
 
 from repro.core import AdaptiveHull
-from repro.durable import DurabilityConfig, recover_stream_engine
+from repro.durable import DurabilityConfig, recover_engine
 from repro.engine import StreamEngine
 from repro.streams import disk_stream
 
@@ -69,9 +69,7 @@ def test_wal_overhead_under_fifteen_percent():
 
         # And the log really is a full, bit-identical copy.
         last = Path(tmp) / f"wal-{ROUNDS - 1}"
-        recovered = recover_stream_engine(
-            last, factory=lambda: AdaptiveHull(R)
-        )
+        recovered = recover_engine(last)
         assert recovered.merged_hull() == hulls[True]
         assert recovered.points_ingested == N
         recovered.close()

@@ -77,7 +77,7 @@ def main() -> None:
 
     # Checkpoint and restore: identical hulls, ready to keep streaming.
     path = engine.snapshot("cluster_monitoring_snapshot.json")
-    restored = StreamEngine.restore(path, lambda: AdaptiveHull(16))
+    restored = StreamEngine.restore(path)  # the spec rides along
     ok = all(restored.hull(k) == engine.hull(k) for k in engine.keys())
     print()
     print(f"snapshot       : {path} ({path.stat().st_size:,} bytes)")

@@ -41,7 +41,7 @@ LRU eviction, standing-query subscriptions, and JSON snapshot/restore::
     tracker.separable("drone-1", "drone-2")     # live standing query
 
     engine.snapshot("fleet.json")               # checkpoint...
-    engine = StreamEngine.restore("fleet.json", lambda: AdaptiveHull(r=32))
+    engine = StreamEngine.restore("fleet.json")  # the spec rides along
 
 Summaries are *mergeable* (``a |= b`` folds another summary of the same
 scheme/config into ``a``, preserving the error bounds), which scales

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     eng.add_argument(
         "--wal-dir", default=None,
         help="write-ahead log directory: batches are durable before they "
-        "apply; a directory holding a prior log is recovered first",
+        "apply; a directory holding a prior log is recovered first (a "
+        "compacted one only on the tier that wrote it)",
     )
     mode = eng.add_mutually_exclusive_group()
     mode.add_argument(
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     drec.add_argument(
         "--workers", type=int, default=None,
         help="override the logged tier: 0 = in-process engine, N = ring "
-        "of N shards (default: whatever the log's meta entry says)",
+        "of N shards (default: whatever the log's meta entry says); a "
+        "compacted log recovers only on the tier that wrote it",
     )
     drec.add_argument(
         "--replicas", type=int, default=0,
@@ -381,7 +383,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         raise SystemExit("engine: --batch must be >= 1")
     if args.watch is not None and args.watch < 0.0:
         raise SystemExit("engine: --watch must be >= 0")
-    engine_cm, restore = _tier_engine(args, "engine")
+    engine_cm = _tier_engine(args, "engine")
     # A recovered WAL's logged window wins over the flags.
     window = engine_cm.window
     timed = window is not None and window.timed
@@ -491,7 +493,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         if args.snapshot:
             path = engine.snapshot(args.snapshot)
             all_keys = engine.keys()
-            with restore(path) as restored:
+            with type(engine).restore(path) as restored:
                 ok = all(restored.hull(k) == engine.hull(k) for k in all_keys)
             print(f"snapshot     : {path} ({path.stat().st_size:,} bytes)")
             print(f"restore check: {len(all_keys)} keys, identical hulls: {ok}")
@@ -520,9 +522,8 @@ def _engine_label(args, window) -> str:
 def _tier_engine(args, prog: str):
     """Validate the shared tier/window flags and build the requested
     engine (both tiers implement EngineProtocol, so callers stay
-    tier-agnostic).  Returns ``(engine, restore)`` with ``restore`` the
-    tier's snapshot-file loader.  Shared by the ``engine`` and
-    ``gateway`` subcommands so their construction cannot drift."""
+    tier-agnostic).  Shared by the ``engine`` and ``gateway``
+    subcommands so their construction cannot drift."""
     import math
 
     from .window import WindowConfig
@@ -557,46 +558,33 @@ def _tier_engine(args, prog: str):
 
         durability = DurabilityConfig(wal_dir)
         recovering = wal_exists(wal_dir)
+    if recovering:
+        from .durable import recover_engine
+
+        # The logged spec/window win over the flags: replay is only
+        # bit-identical under the configuration that wrote the log.
+        return recover_engine(
+            wal_dir,
+            workers=args.workers,
+            standbys=standbys,
+            durability=durability,
+        )
+    from .streams.io import SummarySpec
+
+    spec = SummarySpec("AdaptiveHull", {"r": args.r})
     if args.workers:
-        from .shard import ShardedEngine, SummarySpec
+        from .shard import ShardedEngine
 
-        if recovering:
-            from .durable import recover_engine
+        return ShardedEngine(
+            spec,
+            shards=args.workers,
+            window=window,
+            standbys=standbys,
+            durability=durability,
+        )
+    from .engine import StreamEngine
 
-            # The logged spec/window win over the flags: replay is only
-            # bit-identical under the configuration that wrote the log.
-            engine = recover_engine(
-                wal_dir,
-                workers=args.workers,
-                standbys=standbys,
-                durability=durability,
-            )
-        else:
-            engine = ShardedEngine(
-                SummarySpec("AdaptiveHull", {"r": args.r}),
-                shards=args.workers,
-                window=window,
-                standbys=standbys,
-                durability=durability,
-            )
-        restore = ShardedEngine.restore
-    else:
-        from .engine import StreamEngine
-        from .shard import SummarySpec
-
-        # A spec-built factory (not a bare lambda) so an attached WAL
-        # captures the configuration and recovery needs no restating.
-        factory = SummarySpec("AdaptiveHull", {"r": args.r}).build
-        if recovering:
-            from .durable import recover_engine
-
-            engine = recover_engine(wal_dir, workers=0, durability=durability)
-        else:
-            engine = StreamEngine(
-                factory, window=window, durability=durability
-            )
-        restore = lambda p: StreamEngine.restore(p, factory)  # noqa: E731
-    return engine, restore
+    return StreamEngine(spec, window=window, durability=durability)
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
@@ -777,7 +765,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         return ok
 
     async def main() -> int:
-        engine, _ = _tier_engine(args, "gateway")
+        engine = _tier_engine(args, "gateway")
         replay = getattr(engine, "last_replay", None)
         if replay is not None:
             print(f"recovered    : {replay['entries']} WAL entries "
@@ -790,9 +778,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             # Attribute later-than-watermark drops to tenants before
             # any other late hook (e.g. the durable dead-letter log,
             # which recovery already chained) fires.
-            engine._on_late = tenant_dead_letter_hook(
-                chain=engine._on_late
-            )
+            engine.prepend_late_hook(tenant_dead_letter_hook())
         service = AsyncHullService(
             engine,
             tick_interval=args.tick,
@@ -943,7 +929,7 @@ def _cmd_durable_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_durable_recover(args: argparse.Namespace) -> int:
-    from .durable import DurabilityConfig, recover_engine, wal_exists
+    from .durable import DurabilityConfig, WalError, recover_engine, wal_exists
 
     if args.workers is not None and args.workers < 0:
         raise SystemExit("durable: --workers must be >= 0")
@@ -960,12 +946,16 @@ def _cmd_durable_recover(args: argparse.Namespace) -> int:
     if not wal_exists(args.wal_dir):
         print(f"no WAL at {args.wal_dir}")
         return 1
-    engine = recover_engine(
-        args.wal_dir,
-        workers=args.workers,
-        standbys=args.replicas,
-        durability=DurabilityConfig(args.wal_dir) if args.compact else None,
-    )
+    durability = DurabilityConfig(args.wal_dir) if args.compact else None
+    try:
+        engine = recover_engine(
+            args.wal_dir,
+            workers=args.workers,
+            standbys=args.replicas,
+            durability=durability,
+        )
+    except WalError as exc:
+        raise SystemExit(f"durable: {exc}") from exc
     try:
         replay = engine.last_replay
         stats = engine.stats()

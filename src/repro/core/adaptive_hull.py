@@ -55,7 +55,7 @@ from .batch import (
 from .refinement import RefinementNode
 from .uncertainty import UncertaintyTriangle, triangle_for_edge
 from .uniform_hull import UniformHull
-from .weights import refine_threshold, sample_weight
+from .weights import refine_threshold
 
 __all__ = ["AdaptiveHull"]
 
@@ -321,12 +321,6 @@ class AdaptiveHull(HullSummary):
                 yield triangle_for_edge(
                     leaf.a, leaf.b, self._dir_vec(leaf.lo), self._dir_vec(leaf.hi)
                 )
-
-    def node_weight(self, node: RefinementNode) -> float:
-        """Current sample weight of a tree node (diagnostics/ablation)."""
-        return sample_weight(
-            self._ell_tilde(node), self._uniform.perimeter, self.r, node.depth
-        )
 
     def check_invariants(self) -> None:
         """Raise AssertionError if a structural invariant is violated.

@@ -15,15 +15,16 @@ The durability layer for both engine tiers:
 Quickstart::
 
     from repro import AdaptiveHull, DurabilityConfig, StreamEngine
-    from repro.durable import recover_stream_engine
+    from repro.durable import recover_engine
 
     cfg = DurabilityConfig("waldir", fsync="batch", snapshot_every=512)
     engine = StreamEngine(lambda: AdaptiveHull(32), durability=cfg)
     engine.ingest_arrays(keys, points)      # framed + logged, then applied
     engine.close()                          # ... or the process dies here
 
-    engine = recover_stream_engine("waldir", durability=cfg)
-    # snapshot + tail replay: same hulls, same counters, logging resumes
+    engine = recover_engine("waldir", durability=cfg)
+    # snapshot + tail replay: same hulls, same counters, logging resumes;
+    # the scheme and window come from the log, even for a lambda factory
 
 Replica standbys and online resharding live on
 :class:`~repro.shard.ShardedEngine` (``standbys=`` and ``resize()``)
@@ -32,12 +33,7 @@ and build on the same determinism: a standby applying the same slices
 """
 
 from .deadletter import DeadLetterLog, attach_dead_letters
-from .recovery import (
-    recover_engine,
-    recover_sharded_engine,
-    recover_stream_engine,
-    replay_into,
-)
+from .recovery import recover_engine, replay_into
 from .wal import (
     DurabilityConfig,
     WalError,
@@ -65,7 +61,5 @@ __all__ = [
     "read_meta",
     "wal_exists",
     "recover_engine",
-    "recover_sharded_engine",
-    "recover_stream_engine",
     "replay_into",
 ]

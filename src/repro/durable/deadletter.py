@@ -128,7 +128,7 @@ class DeadLetterLog:
 
 
 def attach_dead_letters(engine, wal_dir) -> Optional[DeadLetterLog]:
-    """Compose a :class:`DeadLetterLog` into ``engine``'s late hook.
+    """Put a :class:`DeadLetterLog` in front of ``engine``'s late hook.
 
     Returns the log, or None when the engine has no bounded-lateness
     window (nothing is ever late, so nothing to persist).  Any hook the
@@ -138,12 +138,5 @@ def attach_dead_letters(engine, wal_dir) -> Optional[DeadLetterLog]:
     if window is None or window.max_delay is None:
         return None
     log = DeadLetterLog(wal_dir)
-    prev = engine._on_late
-
-    def hook(key, points, ts, watermark):
-        log.append(key, points, ts, watermark)
-        if prev is not None:
-            prev(key, points, ts, watermark)
-
-    engine._on_late = hook
+    engine.prepend_late_hook(log.append)
     return log

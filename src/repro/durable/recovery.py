@@ -9,11 +9,12 @@ regression raised ``ValueError`` after the write-ahead append) are
 rejected identically on replay and skipped, so the recovered state is
 the state of exactly the *acknowledged* prefix.
 
-The entry points mirror the two tiers::
+One entry point serves both tiers; the log's meta records the tier,
+the scheme's :class:`~repro.streams.io.SummarySpec` and the window, so
+nothing needs restating::
 
-    engine = recover_stream_engine("waldir", durability=cfg)
-    ring = recover_sharded_engine("waldir", shards=4, durability=cfg)
-    either = recover_engine("waldir")        # tier from the logged meta
+    engine = recover_engine("waldir", durability=cfg)  # as logged
+    ring = recover_engine("waldir", workers=4)          # onto 4 shards
 
 Passing ``durability=`` re-attaches a continuing :class:`WalWriter`
 (and dead-letter hook) so the recovered engine keeps logging; omit it
@@ -33,14 +34,7 @@ from .wal import (
 )
 from ..obs import metrics as OBS
 
-__all__ = [
-    "recover_engine",
-    "recover_sharded_engine",
-    "recover_stream_engine",
-    "replay_into",
-]
-
-_UNSET = object()
+__all__ = ["recover_engine", "replay_into"]
 
 
 def replay_into(engine, entries) -> dict:
@@ -92,142 +86,69 @@ def replay_into(engine, entries) -> dict:
     return {"entries": applied, "records": records, "rejected": rejected}
 
 
-def _meta_window(meta: Optional[dict]):
-    from ..window import WindowConfig
-
-    doc = (meta or {}).get("window")
-    return WindowConfig.from_doc(doc) if doc else None
-
-
-def _meta_factory(meta: Optional[dict]):
-    from ..shard import SummarySpec
-
-    doc = (meta or {}).get("spec")
-    return SummarySpec.from_doc(doc).build if doc else None
-
-
-def recover_stream_engine(
+def recover_engine(
     wal_dir,
-    factory=None,
     *,
-    max_streams=None,
-    on_evict=None,
-    window=_UNSET,
-    on_late=None,
+    workers: Optional[int] = None,
+    spec=None,
     durability: Optional[DurabilityConfig] = None,
+    **options,
 ):
-    """Rebuild a :class:`~repro.engine.StreamEngine` from ``wal_dir``.
+    """Rebuild an engine from ``wal_dir``: the latest snapshot plus the
+    replayed tail.
 
-    ``factory``/``window`` default to the configuration captured in the
-    log's meta entry; pass them explicitly for logs written by engines
-    whose factory was not a :class:`~repro.shard.SummarySpec`.
+    The tier, scheme and window come from the log's meta (the snapshot
+    format, for a log without meta).  ``workers`` overrides the tier: 0
+    recovers a :class:`~repro.engine.StreamEngine`, ``N >= 1`` a
+    :class:`~repro.shard.ShardedEngine` of ``N`` shards (a compacted
+    ring snapshot is loaded onto its own layout, then resized — so
+    recovery doubles as resharding).  A *compacted* log recovers only
+    on the tier that wrote it: the snapshot is tier-specific, so
+    forcing the other tier raises :class:`WalError` naming the logged
+    one.  ``spec`` is needed only for logs whose meta lacks one.
+    ``options`` go to the tier's constructor (``max_streams``,
+    ``on_late``, ``window`` — default: the logged window — and
+    ``standbys`` for a ring).
     """
     from ..engine import StreamEngine
+    from ..shard import ShardedEngine
+    from ..window import WindowConfig
 
-    meta = read_meta(wal_dir)
-    if factory is None:
-        factory = _meta_factory(meta)
-        if factory is None:
-            raise WalError(
-                "log meta carries no summary spec; pass factory= explicitly"
-            )
-    if window is _UNSET:
-        window = _meta_window(meta)
+    meta = read_meta(wal_dir) or {}
     snap = load_latest_snapshot(wal_dir)
+    logged = meta.get("tier")
     if snap is not None:
-        engine = StreamEngine.from_snapshot_state(
-            snap[1],
-            factory,
-            max_streams=max_streams,
-            on_evict=on_evict,
-            window=window,
-            on_late=on_late,
+        logged = snap[1].get("format", "").rpartition(".")[2]
+    sharded = workers > 0 if workers is not None else logged == "shard"
+    cls = ShardedEngine if sharded else StreamEngine
+    if snap is not None and logged != cls._tier:
+        raise WalError(
+            f"{wal_dir} holds a compacted {logged!r}-tier snapshot; "
+            f"recover it on that tier, not as a {cls.__name__}"
         )
-        after = snap[0]
-    else:
-        engine = StreamEngine(
-            factory,
-            max_streams=max_streams,
-            on_evict=on_evict,
-            window=window,
-            on_late=on_late,
-        )
-        after = 0
-    engine.last_replay = replay_into(engine, iter_entries(wal_dir, after=after))
-    if durability is not None:
-        engine.attach_durability(durability)
-    return engine
-
-
-def recover_sharded_engine(
-    wal_dir,
-    spec=None,
-    *,
-    shards=None,
-    standbys=0,
-    max_streams=None,
-    window=_UNSET,
-    on_late=None,
-    durability: Optional[DurabilityConfig] = None,
-):
-    """Rebuild a :class:`~repro.shard.ShardedEngine` ring from ``wal_dir``.
-
-    ``shards=None`` keeps the snapshot's worker count (or the logged
-    meta's for a snapshotless log).  Any other count loads the snapshot
-    onto its own layout and then runs
-    :meth:`~repro.shard.ShardedEngine.resize`
-    before the tail replays — recovery doubles as resizing.
-    """
-    from ..shard import ShardedEngine, SummarySpec
-
-    meta = read_meta(wal_dir)
+    if "window" not in options:
+        window = meta.get("window")
+        options["window"] = WindowConfig.from_doc(window) if window else None
+    if not sharded:
+        options.pop("standbys", None)
     if spec is None:
-        doc = (meta or {}).get("spec")
-        if doc is None:
-            raise WalError("log meta carries no summary spec; pass spec=")
-        spec = SummarySpec.from_doc(doc)
-    if window is _UNSET:
-        window = _meta_window(meta)
-    snap = load_latest_snapshot(wal_dir)
-    common = dict(
-        max_streams=max_streams,
-        window=window,
-        on_late=on_late,
-        standbys=standbys,
-    )
+        spec = meta.get("spec")
     if snap is not None:
-        engine = ShardedEngine.from_snapshot_state(
-            snap[1], shards=shards, **common
-        )
+        if sharded:
+            engine = cls.from_snapshot_state(
+                snap[1], shards=workers or None, **options
+            )
+        else:
+            engine = cls.from_snapshot_state(snap[1], spec, **options)
         after = snap[0]
     else:
-        engine = ShardedEngine(
-            spec, shards=shards or (meta or {}).get("shards") or 2, **common
-        )
+        if spec is None:
+            raise WalError("log meta carries no summary spec; pass spec=")
+        if sharded:
+            options["shards"] = workers or meta.get("shards") or 2
+        engine = cls(spec, **options)
         after = 0
     engine.last_replay = replay_into(engine, iter_entries(wal_dir, after=after))
     if durability is not None:
         engine.attach_durability(durability)
     return engine
-
-
-def recover_engine(wal_dir, *, workers: Optional[int] = None, **kwargs):
-    """Tier-dispatching recovery: the logged meta (or snapshot format)
-    says whether ``wal_dir`` belongs to a ring or an in-process engine.
-
-    ``workers`` overrides: 0 forces a :class:`StreamEngine`, >= 1 a
-    ring of that many shards.  Remaining kwargs go to the tier's
-    ``recover_*`` function.
-    """
-    meta = read_meta(wal_dir)
-    tier = (meta or {}).get("tier")
-    if tier is None:
-        snap = load_latest_snapshot(wal_dir)
-        if snap is not None:
-            fmt = snap[1].get("format", "")
-            tier = "shard" if fmt.endswith("shard") else "engine"
-    sharded = (workers or 0) > 0 if workers is not None else tier == "shard"
-    if sharded:
-        return recover_sharded_engine(wal_dir, shards=workers or None, **kwargs)
-    kwargs.pop("standbys", None)
-    return recover_stream_engine(wal_dir, **kwargs)

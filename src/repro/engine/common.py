@@ -29,11 +29,12 @@ logic that must not drift between them lives here:
 * **snapshot headers** — :func:`check_snapshot_doc` validates the
   format/version header every engine snapshot carries;
 * **engine plumbing** — the :class:`EngineBase` base class holds what
-  both tiers would otherwise copy line for line: the event-time setup,
-  write-ahead-log attachment and compaction, ``snapshot(path)``, the
-  context manager, the ``advance_time`` prologue, and ``insert`` (a
-  one-record :meth:`ingest_arrays` batch, so each tier has one ingest
-  path).
+  both tiers would otherwise copy line for line: the scheme and
+  event-time setup, write-ahead-log attachment (with the logged meta)
+  and compaction, the late-hook chain, ``snapshot(path)`` and
+  ``restore(path)``, the context manager, the ``advance_time``
+  prologue, and ``insert`` (a one-record :meth:`ingest_arrays` batch,
+  so each tier has one ingest path).
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ import numpy as np
 
 from ..geometry.vec import Point
 from ..obs import metrics as _obs
+from ..streams.io import SummarySpec
+from ..window import WindowConfig, windowed_factory
 from .time import EventClock, TimePolicy
 
 __all__ = [
@@ -257,7 +260,8 @@ class EventTimeAPI:
     ``self._on_late`` (the dead-letter hook): every late batch slice is
     then handed to the callback as ``(key, points, ts, watermark)``
     before being dropped, with the hand-off counted in
-    ``repro_dead_letter_records_total``.
+    ``repro_dead_letter_records_total``.  Further hooks go in front of
+    it through :meth:`prepend_late_hook`.
     """
 
     _late_drops: dict
@@ -283,6 +287,24 @@ class EventTimeAPI:
     def late_dropped(self) -> int:
         """Total records dropped as later-than-watermark."""
         return sum(self._late_drops.values())
+
+    def prepend_late_hook(self, hook: Callable) -> None:
+        """Put ``hook(key, points, ts, watermark)`` in front of the
+        current late hook: every late slice then reaches ``hook``
+        first and the earlier hooks after it, in their order.  The
+        durable dead-letter log and the gateway's tenant counter
+        install themselves this way, so the constructor's ``on_late``
+        always fires last."""
+        prev = self._on_late
+        if prev is None:
+            self._on_late = hook
+            return
+
+        def chained(key, points, ts, watermark):
+            hook(key, points, ts, watermark)
+            prev(key, points, ts, watermark)
+
+        self._on_late = chained
 
     def _record_late(
         self, key: Hashable, count: int, points=None, ts=None
@@ -315,14 +337,37 @@ class EventTimeAPI:
 class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
     """Base class of both engine tiers: the plumbing they share.
 
-    A tier sets ``self.window`` and calls :meth:`_init_event_time` in
+    A tier calls :meth:`_init_scheme` and :meth:`_init_event_time` in
     its constructor, and implements ``ingest_arrays``, ``close``,
-    ``snapshot_state`` and ``_wal_meta``; everything here is defined
-    once in terms of those.
+    ``snapshot_state`` and ``from_snapshot_state``; everything here is
+    defined once in terms of those.
     """
 
+    #: The tier's name in the WAL meta (``"engine"`` or ``"shard"``);
+    #: its snapshot format is ``"repro." + _tier``.
+    _tier: str
     _wal = None
     _dead_letter_log = None
+
+    def _init_scheme(self, scheme, window) -> None:
+        """Set ``self.spec`` — the one description of the scheme, which
+        every snapshot and WAL meta records — from any form
+        :meth:`~repro.streams.io.SummarySpec.coerce` accepts, and
+        ``self.window``.  Coercion probe-builds once, so an
+        unregistered scheme is refused here, by name."""
+        self.window = WindowConfig.coerce(window)
+        self.spec = SummarySpec.coerce(scheme)
+        self._factory = (
+            self.spec.build
+            if self.window is None
+            else windowed_factory(self.spec, self.window)
+        )
+
+    @property
+    def summary_factory(self) -> Callable:
+        """The effective per-key factory (window-wrapped when the
+        engine is windowed) — what snapshot restore must produce."""
+        return self._factory
 
     def _init_event_time(self, on_late) -> None:
         """Event-time policy: strict monotonic unless the window opts
@@ -400,6 +445,16 @@ class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
             self._dead_letter_log = attach_dead_letters(self, config.path)
         return self._wal
 
+    def _wal_meta(self) -> dict:
+        """Engine configuration captured into the log, so recovery
+        rebuilds the scheme and window without the caller restating
+        them."""
+        return {
+            "tier": self._tier,
+            "spec": self.spec.to_doc(),
+            "window": self.window.to_doc() if self.window else None,
+        }
+
     def _maybe_compact(self) -> None:
         if self._wal is not None and self._wal.should_compact():
             self._wal.write_snapshot(self.snapshot_state())
@@ -456,6 +511,13 @@ class EngineBase(SubscriberAPI, ExtentQueryAPI, EventTimeAPI):
         path = Path(path)
         path.write_text(json.dumps(self.snapshot_state()), encoding="utf-8")
         return path
+
+    @classmethod
+    def restore(cls, path, *args, **kwargs):
+        """Rebuild an engine from a :meth:`snapshot` file; further
+        arguments are the tier's ``from_snapshot_state`` options."""
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_snapshot_state(doc, *args, **kwargs)
 
 
 def split_records(

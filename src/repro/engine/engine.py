@@ -6,10 +6,11 @@ of sensors, one summary per user.  It is the architectural seam the
 scaling roadmap builds on (sharding keys across engines, batching
 records per key, caching hot summaries) and deliberately stays simple:
 
-* **factory-injected scheme** — the engine is agnostic to which summary
-  it manages; pass ``lambda: AdaptiveHull(32)`` (exactly like the
-  query-layer trackers) and every key lazily gets its own instance on
-  first touch;
+* **one scheme descriptor** — the engine is agnostic to which summary
+  it manages; pass a :class:`~repro.streams.io.SummarySpec`, a summary
+  instance, or a factory such as ``lambda: AdaptiveHull(32)`` (exactly
+  like the query-layer trackers).  It is held as ``engine.spec`` and
+  every key lazily gets its own instance on first touch;
 * **batch routing** — :meth:`StreamEngine.ingest` takes an iterable of
   ``(key, x, y)`` records, groups them by key, and hands each group to
   the summary's vectorised :meth:`insert_many`;
@@ -25,9 +26,10 @@ records per key, caching hot summaries) and deliberately stays simple:
   paper's separation/containment/overlap queries run live against
   engine state;
 * **snapshot/restore** — :meth:`StreamEngine.snapshot` serialises every
-  summary through the :mod:`repro.streams.io` summary format;
-  :meth:`StreamEngine.restore` rebuilds an identical engine (identical
-  hulls, counters, and refinement state for the core schemes).
+  summary through the :mod:`repro.streams.io` summary format, plus the
+  spec; :meth:`StreamEngine.restore` rebuilds an identical engine
+  (identical hulls, counters, and refinement state) from the file
+  alone.
 
 The engine is the in-process tier of the
 :class:`~repro.engine.protocol.EngineProtocol` contract; the keyed
@@ -38,10 +40,8 @@ the multi-process :class:`~repro.shard.engine.ShardedEngine` live in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -52,7 +52,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -63,8 +62,8 @@ from ..geometry.vec import Point
 from ..obs import metrics as OBS
 from ..obs import registry as obs_registry
 from ..obs.trace import span
-from ..streams.io import require_registered, summary_from_state, summary_state
-from ..window import WindowConfig, windowed_factory
+from ..streams.io import SummarySpec, summary_from_state, summary_state
+from ..window import WindowConfig
 from .common import (
     BaseStats,
     EngineBase,
@@ -79,8 +78,6 @@ from .time import ReorderBuffer, late_split
 
 __all__ = ["StreamEngine", "EngineStats", "Subscription"]
 
-SummaryFactory = Callable[[], HullSummary]
-PathLike = Union[str, Path]
 
 ENGINE_FORMAT = "repro.engine"
 ENGINE_FORMAT_VERSION = 1
@@ -115,11 +112,15 @@ class StreamEngine(EngineBase):
     """Thousands of keyed hull summaries behind one batch front door.
 
     Args:
-        factory: zero-argument callable producing a fresh summary; one
-            is created lazily per key on first touch.  Its scheme must
-            be in :func:`repro.streams.io.scheme_registry` (the schemes
-            whose snapshot restores exactly); construction refuses
-            any other with an error that names it.
+        scheme: which summary each key gets — anything
+            :meth:`SummarySpec.coerce <repro.streams.io.SummarySpec.coerce>`
+            accepts: a spec, a registered summary class or instance, or
+            a zero-argument factory (one probe build).  It is held as
+            :attr:`spec`; one summary is created lazily per key on
+            first touch.  The scheme must be in
+            :func:`repro.streams.io.scheme_registry` (the schemes whose
+            snapshot restores exactly); construction refuses any other
+            with a ``TypeError`` that names it.
         max_streams: optional LRU bound on live summaries; exceeding it
             evicts the least-recently-touched key (after calling
             ``on_evict``).
@@ -130,7 +131,7 @@ class StreamEngine(EngineBase):
         window: optional :class:`~repro.window.WindowConfig` (or kwargs
             dict).  When set, every key gets a
             :class:`~repro.window.WindowedHullSummary` wrapping the
-            factory's scheme: ingestion accepts per-record timestamps,
+            scheme: ingestion accepts per-record timestamps,
             :meth:`advance_time` expires stale buckets across all keys,
             and every query answers over the sliding window instead of
             the whole stream prefix.  A config with ``max_delay`` opts
@@ -152,15 +153,18 @@ class StreamEngine(EngineBase):
             :class:`~repro.durable.DurabilityConfig` (or a bare WAL
             directory path).  When set, every mutation is appended to
             a write-ahead log *before* it is applied — crash recovery
-            via :func:`repro.durable.recover_stream_engine` replays
-            the tail onto the latest compacted snapshot, bit-identical
-            by determinism.  A fresh engine requires the directory
-            empty; continuing an existing log goes through recovery.
+            via :func:`repro.durable.recover_engine` replays the tail
+            onto the latest compacted snapshot, bit-identical by
+            determinism, with no need to restate the scheme.  A fresh
+            engine requires the directory empty; continuing an
+            existing log goes through recovery.
     """
+
+    _tier = "engine"
 
     def __init__(
         self,
-        factory: SummaryFactory,
+        scheme,
         *,
         max_streams: Optional[int] = None,
         on_evict: Optional[Callable[[Hashable, HullSummary], None]] = None,
@@ -170,16 +174,7 @@ class StreamEngine(EngineBase):
     ):
         if max_streams is not None and max_streams < 1:
             raise ValueError("max_streams must be >= 1")
-        self.window = WindowConfig.coerce(window)
-        self._base_factory = factory
-        if self.window is not None:
-            self._factory = windowed_factory(factory, self.window)
-        else:
-            # One probe build: the engine hosts only schemes whose
-            # snapshot restores exactly (restore, resize and replicas
-            # all rest on it).
-            require_registered(factory())
-            self._factory = factory
+        self._init_scheme(scheme, window)
         # Under bounded lateness the engine owns the watermark clock and
         # one reorder buffer per key (the window summaries themselves
         # stay strictly monotonic and untouched).
@@ -210,26 +205,7 @@ class StreamEngine(EngineBase):
         symmetry with the sharded tier)."""
         self._close_logs()
 
-    def _wal_meta(self) -> dict:
-        """Engine configuration captured into the log, so recovery can
-        rebuild the factory/window without the caller restating them
-        (possible only when the factory is a SummarySpec.build)."""
-        owner = getattr(self._base_factory, "__self__", None)
-        return {
-            "tier": "engine",
-            "spec": owner.to_doc()
-            if owner is not None and hasattr(owner, "to_doc")
-            else None,
-            "window": self.window.to_doc() if self.window is not None else None,
-        }
-
     # -- keyed access ------------------------------------------------------
-
-    @property
-    def summary_factory(self) -> SummaryFactory:
-        """The effective per-key factory (window-wrapped when the
-        engine is windowed) — what snapshot restore must produce."""
-        return self._factory
 
     def __len__(self) -> int:
         return len(self._summaries)
@@ -309,7 +285,7 @@ class StreamEngine(EngineBase):
             # summaries of the base scheme): windows themselves refuse
             # cross-key merging, and the global answer should cover the
             # union of the live windows.
-            merged = self._base_factory()
+            merged = self.spec.build()
             for s in selected:
                 merged.merge(s.merged_view())
             return merged
@@ -801,11 +777,11 @@ class StreamEngine(EngineBase):
         """The engine's full state as a JSON-compatible document.
 
         This is the payload :meth:`snapshot` writes to disk and the
-        shard layer ships over worker pipes — one entry per live summary
-        through the :mod:`repro.streams.io` summary format, plus the
-        engine counters.  Keys must be JSON scalars (str/int/float/
-        bool); anything else raises TypeError — hash-only keys cannot
-        round-trip a text format.
+        shard layer ships over worker pipes — the spec, one entry per
+        live summary through the :mod:`repro.streams.io` summary
+        format, plus the engine counters.  Keys must be JSON scalars
+        (str/int/float/bool); anything else raises TypeError —
+        hash-only keys cannot round-trip a text format.
         """
         entries = []
         for key, summary in self._summaries.items():
@@ -817,6 +793,7 @@ class StreamEngine(EngineBase):
             "points_ingested": self.points_ingested,
             "batches_ingested": self.batches_ingested,
             "evictions": self.evictions,
+            "spec": self.spec.to_doc(),
             "window": self.window.to_doc() if self.window else None,
             "summaries": entries,
         }
@@ -842,7 +819,7 @@ class StreamEngine(EngineBase):
     def from_snapshot_state(
         cls,
         doc: dict,
-        factory: SummaryFactory,
+        scheme=None,
         *,
         max_streams: Optional[int] = None,
         on_evict: Optional[Callable[[Hashable, HullSummary], None]] = None,
@@ -851,15 +828,28 @@ class StreamEngine(EngineBase):
     ) -> "StreamEngine":
         """Rebuild an engine from a :meth:`snapshot_state` document.
 
-        ``factory`` must produce the same scheme/configuration the
-        snapshot was taken with (checked per summary); the restored
-        engine has identical hulls and counters and keeps streaming.
-        A windowed snapshot restores its own window config by default;
-        passing ``window`` explicitly must match the snapshot's.
+        The doc's own ``spec`` names the scheme; ``scheme`` is needed
+        only for older docs that lack it, and must otherwise describe
+        the same scheme.  The restored engine has identical hulls and
+        counters and keeps streaming.  A windowed snapshot restores
+        its own window config by default; passing ``window``
+        explicitly must match the snapshot's.
         """
         check_snapshot_doc(
             doc, ENGINE_FORMAT, ENGINE_FORMAT_VERSION, "an engine snapshot"
         )
+        snap_spec = doc.get("spec")
+        if scheme is None:
+            scheme = snap_spec
+        if scheme is None:
+            raise ValueError("snapshot has no summary spec; pass the scheme")
+        spec = SummarySpec.coerce(scheme)
+        if snap_spec is not None and spec != SummarySpec.coerce(snap_spec):
+            raise ValueError(
+                f"snapshot spec {snap_spec!r} does not match the requested "
+                "scheme; the restored engine would stream under a "
+                "different policy"
+            )
         snap_window = doc.get("window")
         snap_window = (
             WindowConfig.from_doc(snap_window) if snap_window else None
@@ -874,7 +864,7 @@ class StreamEngine(EngineBase):
                 "a different policy"
             )
         engine = cls(
-            factory,
+            spec,
             max_streams=max_streams,
             on_evict=on_evict,
             window=window,
@@ -902,25 +892,3 @@ class StreamEngine(EngineBase):
             }
         engine._enforce_bound()
         return engine
-
-    @classmethod
-    def restore(
-        cls,
-        path: PathLike,
-        factory: SummaryFactory,
-        *,
-        max_streams: Optional[int] = None,
-        on_evict: Optional[Callable[[Hashable, HullSummary], None]] = None,
-        window=None,
-        on_late=None,
-    ) -> "StreamEngine":
-        """Rebuild an engine from a :meth:`snapshot` file."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_snapshot_state(
-            doc,
-            factory,
-            max_streams=max_streams,
-            on_evict=on_evict,
-            window=window,
-            on_late=on_late,
-        )

@@ -33,10 +33,11 @@ The contract, grouped by concern:
   every batch with the touched key set (and after ``advance_time``
   with the keys whose windows expired);
 * **persistence** — ``snapshot_state()`` returns the engine's full
-  JSON-compatible state, ``snapshot(path)`` writes it; every tier also
-  offers ``from_snapshot_state`` / ``restore`` constructors (their
-  signatures are tier-specific: the stream tier takes a factory, the
-  sharded tier carries its spec in the document);
+  JSON-compatible state, scheme spec included, and ``snapshot(path)``
+  writes it; every tier also offers ``from_snapshot_state(doc)`` /
+  ``restore(path)`` constructors that need nothing but the document
+  (tier-specific options — ``shards=``, ``on_evict=`` — stay keyword
+  arguments);
 * **bookkeeping / lifecycle** — ``stats()`` (an object with at least
   ``streams`` / ``points_ingested`` / ``batches_ingested`` /
   ``evictions`` / ``sample_points`` and the window bucket counters),
@@ -70,6 +71,7 @@ __all__ = ["EngineProtocol", "PROTOCOL_MEMBERS"]
 
 #: Every member the conformance suite checks for on both tiers.
 PROTOCOL_MEMBERS: Tuple[str, ...] = (
+    "spec",
     "window",
     "insert",
     "ingest",
@@ -98,6 +100,11 @@ PROTOCOL_MEMBERS: Tuple[str, ...] = (
 @runtime_checkable
 class EngineProtocol(Protocol):
     """Structural type for a keyed hull engine (either tier)."""
+
+    @property
+    def spec(self):
+        """The scheme as a :class:`~repro.streams.io.SummarySpec`."""
+        ...
 
     @property
     def window(self):

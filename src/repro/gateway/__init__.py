@@ -9,6 +9,7 @@ single-tenant engine fed the same records.
 Quickstart::
 
     import asyncio
+    from repro.core import AdaptiveHull
     from repro.engine import StreamEngine
     from repro.serve import AsyncHullService
     from repro.gateway import (
@@ -20,7 +21,8 @@ Quickstart::
             [Tenant(id="acme", token="acme-token", rate_records=1000)],
             admin_token="s3cret",
         )
-        async with AsyncHullService(StreamEngine(r=64)) as service:
+        engine = StreamEngine(lambda: AdaptiveHull(64))
+        async with AsyncHullService(engine) as service:
             async with HullGateway(service, registry) as gw:
                 client = GatewayClient("127.0.0.1", gw.port, "acme-token")
                 await client.ingest(

@@ -122,16 +122,15 @@ class GatewayError(Exception):
         self.headers = tuple(headers)
 
 
-def tenant_dead_letter_hook(chain=None):
-    """An engine ``on_late`` hook attributing dead letters to tenants.
+def tenant_dead_letter_hook():
+    """An engine late hook attributing dead letters to tenants.
 
     Splits the tenant id back out of each late batch's scoped key and
     bumps the per-tenant dead-letter counter; keys without a namespace
     (an embedding application sharing the engine) are attributed to
-    ``"_unscoped"``.  ``chain`` is called afterwards with the original
-    arguments, so this composes with
-    :func:`repro.durable.attach_dead_letters` the same way every other
-    ``_on_late`` wrapper in the stack does.
+    ``"_unscoped"``.  Install it with the engine's
+    :meth:`~repro.engine.common.EventTimeAPI.prepend_late_hook`, so it
+    fires before the durable dead-letter log and ``on_late``.
     """
 
     def hook(key, points, ts, watermark):
@@ -140,8 +139,6 @@ def tenant_dead_letter_hook(chain=None):
         if not sep:
             tenant_id = "_unscoped"
         OBS.GATEWAY_DEAD_LETTER_RECORDS.labels(tenant_id).inc(len(points))
-        if chain is not None:
-            chain(key, points, ts, watermark)
 
     return hook
 

@@ -140,18 +140,15 @@ class AsyncHullService:
             ingestion.
         own_engine: close the engine on :meth:`aclose` (the service
             took ownership).
-        durability: optional :class:`~repro.durable.DurabilityConfig`
-            (or bare WAL directory), attached to the engine.  Appends
-            happen on the engine thread, write-ahead of each apply —
-            *behind* the coalescing queue deliberately: the drain's
-            coalesce/presort step changes arrival order under bounded
-            lateness, so only the engine-side log captures exactly what
-            was applied and replays bit-identically.  The queue itself
-            is volatile; a ``sync=True`` producer's acknowledgement
-            implies its batch is durable.  To serve a *recovered*
-            engine, build it with :func:`~repro.durable.recover_engine`
-            (which re-attaches the log) and pass ``durability=None``
-            here.
+
+    Durability is the engine's own (its ``durability=``, or
+    :func:`~repro.durable.recover_engine` for a recovered one): appends
+    happen on the engine thread, write-ahead of each apply — *behind*
+    the coalescing queue deliberately, since the drain's
+    coalesce/presort step changes arrival order under bounded lateness
+    and only the engine-side log captures exactly what was applied.
+    The queue itself is volatile; a ``sync=True`` producer's
+    acknowledgement implies its batch is durable.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`aclose` explicitly.
@@ -165,7 +162,6 @@ class AsyncHullService:
         tick_interval: Optional[float] = None,
         clock=None,
         own_engine: bool = False,
-        durability=None,
     ):
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
@@ -179,8 +175,6 @@ class AsyncHullService:
             if clock is None:
                 raise ValueError("tick_interval requires a clock")
         self.engine = engine
-        if durability is not None:
-            engine.attach_durability(durability, require_empty=True)
         self.tick_interval = tick_interval
         self.clock = clock
         self.own_engine = own_engine

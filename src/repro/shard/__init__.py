@@ -10,8 +10,8 @@ reduce per-subsystem streams into one global result:
 * :class:`~repro.shard.hashing.HashRing` — consistent hashing of stream
   keys onto N shards (stable across processes; resize moves only the
   proportional slice of keys);
-* :class:`~repro.shard.spec.SummarySpec` — a scheme as picklable data,
-  so factories can cross process boundaries;
+* :class:`~repro.streams.io.SummarySpec` (re-exported here) — a scheme
+  as picklable data, so it can cross process boundaries;
 * :mod:`~repro.shard.transport` — the zero-copy wire layer: batch
   slices cross the worker pipes as raw length-prefixed NumPy buffer
   frames (:class:`~repro.shard.transport.FramePipe`, the one pipe
@@ -39,9 +39,9 @@ Quickstart::
 """
 
 from ..core.base import tree_merge
+from ..streams.io import SummarySpec
 from .engine import ShardedEngine, ShardError, ShardStats
 from .hashing import HashRing, stable_key_token
-from .spec import SummarySpec
 from .transport import TransportError
 
 __all__ = [

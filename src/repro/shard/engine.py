@@ -47,13 +47,11 @@ slice consistent hashing displaces.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing.util import register_after_fork
-from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,15 +73,12 @@ from ..obs import metrics as OBS
 from ..obs import registry as obs_registry
 from ..obs.trace import current_context, span, tracing
 from ..streams.io import summary_from_state
-from ..window import WindowConfig, windowed_factory
+from ..window import WindowConfig
 from .hashing import HashRing
-from .spec import SummarySpec
 from .transport import FramePipe, TransportError
 from .worker import shard_worker_main
 
 __all__ = ["ShardedEngine", "ShardStats", "ShardError"]
-
-PathLike = Union[str, Path]
 
 SHARD_FORMAT = "repro.shard"
 SHARD_FORMAT_VERSION = 1
@@ -163,9 +158,12 @@ class ShardedEngine(EngineBase):
 
     Args:
         spec: which summary scheme each key gets — a
-            :class:`~repro.shard.spec.SummarySpec` (e.g.
-            ``SummarySpec.of(AdaptiveHull, r=32)``); a plain
-            ``HullSummary`` subclass or instance is coerced.
+            :class:`~repro.streams.io.SummarySpec` (e.g.
+            ``SummarySpec.of(AdaptiveHull, r=32)``) or anything else
+            :meth:`SummarySpec.coerce
+            <repro.streams.io.SummarySpec.coerce>` accepts (a
+            registered class, instance or factory); held as
+            :attr:`spec`.
         shards: number of worker processes (>= 1).
         replicas: virtual nodes per shard on the hash ring.
         max_streams: optional per-shard LRU bound (passed to each
@@ -198,7 +196,7 @@ class ShardedEngine(EngineBase):
             (or a bare WAL directory path).  Batches are framed into a
             write-ahead log at the parent *before* fan-out, so a crash
             of the whole process recovers via
-            :func:`~repro.durable.recover_sharded_engine` — snapshot
+            :func:`~repro.durable.recover_engine` — snapshot
             plus tail replay, bit-identical by determinism.
 
     The engine is a context manager; on exit the workers are stopped
@@ -209,6 +207,8 @@ class ShardedEngine(EngineBase):
     histograms.  A whole-ring :meth:`merged_summary` is served from each worker's
     cached shard fold until that shard next mutates.
     """
+
+    _tier = "shard"
 
     def __init__(
         self,
@@ -226,8 +226,7 @@ class ShardedEngine(EngineBase):
             raise ValueError("ShardedEngine needs at least one shard")
         if standbys < 0:
             raise ValueError("standbys must be >= 0")
-        self.spec = SummarySpec.coerce(spec)
-        self.window = WindowConfig.coerce(window)
+        self._init_scheme(spec, window)
         self._clock: Optional[float] = None  # high-water event time (strict)
         # Event-time policy: under bounded lateness the *parent* owns
         # the watermark clock and the late-drop accounting — judging
@@ -378,12 +377,7 @@ class ShardedEngine(EngineBase):
     # any worker count.
 
     def _wal_meta(self) -> dict:
-        return {
-            "tier": "shard",
-            "spec": self.spec.to_doc(),
-            "window": self.window.to_doc() if self.window else None,
-            "shards": self.num_shards,
-        }
+        return {**super()._wal_meta(), "shards": self.num_shards}
 
     # -- worker RPC --------------------------------------------------------
 
@@ -819,13 +813,6 @@ class ShardedEngine(EngineBase):
         """Approximate hull of one keyed stream ([] if never fed)."""
         return [tuple(v) for v in self._call(self.shard_for(key), "hull", key)]
 
-    def _summary_factory(self):
-        """The per-key factory a worker engine uses (window-wrapped when
-        the ring is windowed)."""
-        if self.window is None:
-            return self.spec.build
-        return windowed_factory(self.spec, self.window)
-
     def advance_time(self, now: float) -> int:
         """Broadcast a clock advance to every shard (time-based windows
         only); returns the total number of expired buckets across the
@@ -862,7 +849,7 @@ class ShardedEngine(EngineBase):
         state = self._call(self.shard_for(key), "summary_state", key, False)
         if state is None:
             return None
-        return summary_from_state(state, factory=self._summary_factory())
+        return summary_from_state(state, factory=self._factory)
 
     def summary(self, key: Hashable) -> HullSummary:
         """A *copy* of one key's summary, created (empty, worker-side)
@@ -870,7 +857,7 @@ class ShardedEngine(EngineBase):
         copy does not touch the worker — it is rebuilt from the shard's
         snapshot state."""
         state = self._call(self.shard_for(key), "summary_state", key, True)
-        return summary_from_state(state, factory=self._summary_factory())
+        return summary_from_state(state, factory=self._factory)
 
     def merged_summary(
         self, keys: Optional[Iterable[Hashable]] = None
@@ -1091,12 +1078,11 @@ class ShardedEngine(EngineBase):
         check_snapshot_doc(
             doc, SHARD_FORMAT, SHARD_FORMAT_VERSION, "a shard snapshot"
         )
-        spec = SummarySpec.from_doc(doc["spec"])
         if window is None:
             window_doc = doc.get("window")
             window = WindowConfig.from_doc(window_doc) if window_doc else None
         engine = cls(
-            spec,
+            doc["spec"],
             shards=int(doc["shards"]),
             replicas=int(doc["replicas"]),
             max_streams=max_streams,
@@ -1131,27 +1117,3 @@ class ShardedEngine(EngineBase):
             engine.close()
             raise
         return engine
-
-    @classmethod
-    def restore(
-        cls,
-        path: PathLike,
-        *,
-        shards: Optional[int] = None,
-        max_streams: Optional[int] = None,
-        on_late=None,
-        standbys: int = 0,
-        window=None,
-        durability=None,
-    ) -> "ShardedEngine":
-        """Rebuild a ring from a :meth:`snapshot` file."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_snapshot_state(
-            doc,
-            shards=shards,
-            max_streams=max_streams,
-            on_late=on_late,
-            standbys=standbys,
-            window=window,
-            durability=durability,
-        )

@@ -44,8 +44,7 @@ from ..obs import metrics as OBS
 from ..obs import registry as obs_registry
 from ..obs.trace import resume as trace_resume
 from ..obs.trace import span as trace_span
-from ..streams.io import summary_from_state, summary_state
-from .spec import SummarySpec
+from ..streams.io import SummarySpec, summary_from_state, summary_state
 from .transport import FramePipe, TransportError
 
 __all__ = ["shard_worker_main"]
@@ -60,11 +59,10 @@ class _ShardServer:
         max_streams: Optional[int] = None,
         window=None,
     ):
-        self.spec = spec
         self.max_streams = max_streams
         self.window = window
         self.engine = StreamEngine(
-            spec.build, max_streams=max_streams, window=window
+            spec, max_streams=max_streams, window=window
         )
         # The cached whole-shard fold (see module docstring); None
         # until a keys=None query fills it and after any mutation.
@@ -136,9 +134,11 @@ class _ShardServer:
 
     def op_load_snapshot(self, doc):
         self._mutated()
+        # The ring's spec stands in only for docs written before
+        # engine snapshots recorded their own.
         self.engine = StreamEngine.from_snapshot_state(
             doc,
-            self.spec.build,
+            None if "spec" in doc else self.engine.spec,
             max_streams=self.max_streams,
             window=self.window,
         )

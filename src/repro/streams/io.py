@@ -25,18 +25,25 @@ the other baselines (an RNG, a histogram, a kernel grid, a trained
 direction set) cannot restore exactly, so :func:`summary_state`
 refuses them.  Values may include IEEE infinities (pre-first-point
 supports); Python's ``json`` module round-trips them natively.
+
+:class:`SummarySpec` is the same registry seen from the engines: a
+scheme as data (class name + config), which every engine holds and
+records in its snapshots and WAL meta.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
+
+from ..core.base import HullSummary
 
 __all__ = [
     "save_stream",
@@ -44,6 +51,7 @@ __all__ = [
     "replay",
     "scheme_registry",
     "require_registered",
+    "SummarySpec",
     "summary_state",
     "summary_from_state",
     "save_summary",
@@ -138,19 +146,129 @@ def scheme_registry() -> Mapping[str, type]:
     })
 
 
-def require_registered(summary) -> None:
-    """Refuse a summary whose scheme has no exact snapshot.
+def require_registered(scheme) -> None:
+    """Refuse a summary (or summary class) whose scheme has no exact
+    snapshot.
 
     Raises:
         TypeError: naming the scheme, when it is not in
             :func:`scheme_registry`.
     """
-    cls = type(summary)
+    cls = scheme if isinstance(scheme, type) else type(scheme)
     if scheme_registry().get(cls.__name__) is not cls:
         raise TypeError(
             f"{cls.__name__} has no exact snapshot (restorable schemes: "
             f"{', '.join(sorted(scheme_registry()))})"
         )
+
+
+@dataclass(frozen=True)
+class SummarySpec:
+    """A summary scheme as data: registered class name + constructor kwargs.
+
+    The one description of a scheme on every tier.  Closures do not
+    cross process boundaries or fit in a log, so the engines hold a
+    spec (``engine.spec``): it travels over a worker pipe as a plain
+    dataclass, is recorded in every engine snapshot and WAL meta, and
+    rebuilds the scheme through :func:`scheme_registry`.  Examples::
+
+        SummarySpec("AdaptiveHull", {"r": 32})
+        SummarySpec.of(AdaptiveHull, r=32)
+        SummarySpec.coerce(lambda: AdaptiveHull(32))
+
+    The spec doubles as a zero-argument factory (:meth:`build`).
+    """
+
+    scheme: str
+    config: Dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        registry = scheme_registry()
+        if self.scheme not in registry:
+            known = ", ".join(sorted(registry))
+            raise ValueError(
+                f"unknown summary scheme {self.scheme!r} (known: {known})"
+            )
+        # Memoise the resolved class: build() sits on the per-key hot
+        # path of every engine, and the registry lookup per
+        # instantiation is pure overhead once the spec is validated.
+        object.__setattr__(self, "_cls", registry[self.scheme])
+
+    @classmethod
+    def of(cls, scheme, **config) -> "SummarySpec":
+        """Build a spec from a class (or its name) plus constructor kwargs."""
+        name = scheme if isinstance(scheme, str) else scheme.__name__
+        return cls(name, dict(config))
+
+    @classmethod
+    def for_summary(cls, summary: HullSummary) -> "SummarySpec":
+        """The spec that recreates an equivalent empty summary."""
+        return cls(type(summary).__name__, summary.get_config())
+
+    @classmethod
+    def coerce(cls, scheme) -> "SummarySpec":
+        """The canonical spec of any scheme description: a spec, a spec
+        doc, a registered summary class, a live summary instance, or a
+        zero-argument factory.
+
+        One probe build turns partial constructor kwargs (``{"r": 16}``)
+        into the full ``get_config()``, so equal schemes compare equal
+        whichever form named them.  Spec-shaped inputs are memoised:
+        re-coercing a spec per key costs a lookup, not a build, and a
+        spec that is already canonical comes back as itself.
+
+        Raises:
+            TypeError: naming an unregistered scheme; for a windowed
+                summary (windows are an engine option, not a scheme);
+                for anything that is not a scheme description.
+            ValueError: for a spec naming no registered scheme.
+        """
+        if isinstance(scheme, dict):
+            scheme = cls.from_doc(scheme)
+        if isinstance(scheme, cls):
+            canonical = _canonical_spec(
+                scheme.scheme, json.dumps(scheme.config, sort_keys=True)
+            )
+            return scheme if scheme == canonical else canonical
+        if isinstance(scheme, type) and issubclass(scheme, HullSummary):
+            require_registered(scheme)
+        probe = scheme
+        if callable(scheme) and not isinstance(scheme, HullSummary):
+            probe = scheme()
+        if not isinstance(probe, HullSummary):
+            raise TypeError(
+                "expected a SummarySpec, a spec doc, or a registered "
+                "summary class, instance or factory; got "
+                f"{type(probe).__name__}"
+            )
+        require_registered(probe)
+        if type(probe) is scheme_registry()["WindowedHullSummary"]:
+            raise TypeError(
+                "cannot window a windowed summary: pass window= to the "
+                "engine with the base scheme"
+            )
+        return cls.for_summary(probe)
+
+    def build(self) -> HullSummary:
+        """Instantiate a fresh summary (the factory the spec describes)."""
+        return self._cls(**self.config)
+
+    def to_doc(self) -> Dict:
+        """JSON-compatible form for snapshot headers and WAL meta."""
+        return {"class": self.scheme, "config": dict(self.config)}
+
+    @classmethod
+    def from_doc(cls, doc: Dict) -> "SummarySpec":
+        """Inverse of :meth:`to_doc`."""
+        return cls(doc["class"], dict(doc["config"]))
+
+
+@lru_cache(maxsize=None)
+def _canonical_spec(scheme: str, config_json: str) -> SummarySpec:
+    """Memo behind :meth:`SummarySpec.coerce` for spec-shaped inputs
+    (distinct scheme configs per process are few)."""
+    spec = SummarySpec(scheme, json.loads(config_json))
+    return SummarySpec.coerce(spec.build())
 
 
 def summary_state(summary) -> Dict:

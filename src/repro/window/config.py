@@ -5,7 +5,7 @@ window: count-based (``last_n``) or time-based (``horizon``), plus the
 bucketing knobs.  It is a plain frozen dataclass so it can be passed to
 :class:`~repro.engine.StreamEngine`, pickled to shard workers, and
 embedded in snapshot documents (:meth:`to_doc`/:meth:`from_doc`),
-mirroring how :class:`~repro.shard.spec.SummarySpec` describes a
+mirroring how :class:`~repro.streams.io.SummarySpec` describes a
 summary scheme.
 """
 

@@ -56,7 +56,7 @@ from ..core.base import HullSummary, coerce_point
 from ..core.batch import DEFAULT_CHUNK, as_point_array, as_ts_array
 from ..geometry.vec import Point, dot, unit
 from ..obs import metrics as OBS
-from ..streams.io import summary_from_state, summary_state
+from ..streams.io import SummarySpec, summary_from_state, summary_state
 from .config import WindowConfig, without_warm_start
 
 __all__ = ["WindowedHullSummary", "windowed_factory"]
@@ -75,77 +75,13 @@ class _Bucket:
         self.end_ts = end_ts
 
 
-#: Canonicalisation memo: (scheme name, config JSON) -> canonical spec.
-#: A windowed engine constructs one summary per key, and re-probing the
-#: scheme per key would double every key's construction cost; distinct
-#: scheme configs per process are few, so the memo stays tiny.
-_CANONICAL_SPECS: Dict[tuple, object] = {}
+def windowed_factory(spec, config: WindowConfig):
+    """A zero-argument factory of windowed summaries of ``spec`` (a
+    :class:`~repro.streams.io.SummarySpec`) under ``config``.
 
-
-def _coerce_scheme(scheme):
-    """Normalise any factory-ish scheme description to a *canonical*
-    SummarySpec: one probe build turns partial constructor kwargs
-    (``{"r": 16}``) into the full ``get_config()``, so window configs
-    compare equal across tiers no matter which form created them.
-    Spec-shaped inputs are memoised, so per-key re-coercion of an
-    already-canonical spec costs a dict lookup, not a probe build."""
-    import json
-
-    # Lazy import: SummarySpec lives in the shard layer, which imports
-    # the engine (and hence this package) at module level.
-    from ..shard.spec import SummarySpec
-
-    if isinstance(scheme, dict):
-        scheme = SummarySpec.from_doc(scheme)
-    elif isinstance(scheme, type) and issubclass(scheme, HullSummary):
-        scheme = SummarySpec.of(scheme)
-    if isinstance(scheme, SummarySpec):
-        if scheme.scheme == WindowedHullSummary.__name__:
-            raise TypeError("cannot window a windowed summary")
-        key = (scheme.scheme, json.dumps(scheme.config, sort_keys=True))
-        cached = _CANONICAL_SPECS.get(key)
-        if cached is not None:
-            return cached
-        probe = scheme.build()
-    elif isinstance(scheme, HullSummary):
-        key = None
-        probe = scheme
-    elif callable(scheme):
-        key = None
-        probe = scheme()
-        if not isinstance(probe, HullSummary):
-            raise TypeError(
-                f"scheme factory produced {type(probe).__name__}, "
-                "expected a HullSummary"
-            )
-    else:
-        raise TypeError(
-            "scheme must be a SummarySpec, a registered summary "
-            "class/instance/factory, or a spec doc; got "
-            f"{type(scheme).__name__}"
-        )
-    if isinstance(probe, WindowedHullSummary):
-        raise TypeError("cannot window a windowed summary")
-    canonical = SummarySpec.for_summary(probe)
-    canonical_key = (
-        canonical.scheme,
-        json.dumps(canonical.config, sort_keys=True),
-    )
-    _CANONICAL_SPECS[canonical_key] = canonical
-    if key is not None:
-        _CANONICAL_SPECS[key] = canonical
-    return canonical
-
-
-def windowed_factory(scheme, config: WindowConfig):
-    """A zero-argument factory of windowed summaries under ``config``.
-
-    This is how both engine tiers wrap their per-key factories: the
-    scheme is coerced to a :class:`~repro.shard.spec.SummarySpec`
-    *once* here (one probe build), not once per key, and the window
-    policy is threaded in one place so the tiers cannot drift.
+    This is how both engine tiers wrap their scheme, so the window
+    policy is threaded in one place and the tiers cannot drift.
     """
-    spec = _coerce_scheme(scheme)
 
     def build() -> "WindowedHullSummary":
         return WindowedHullSummary(
@@ -164,7 +100,7 @@ class WindowedHullSummary(HullSummary):
 
     Args:
         scheme: which summary each bucket gets — a
-            :class:`~repro.shard.spec.SummarySpec`, a registered
+            :class:`~repro.streams.io.SummarySpec`, a registered
             :class:`~repro.core.base.HullSummary` class, instance, or
             zero-argument factory (e.g. ``lambda: AdaptiveHull(32)``),
             or a spec doc dict.
@@ -198,7 +134,7 @@ class WindowedHullSummary(HullSummary):
             head_capacity=head_capacity,
             level_width=level_width,
         )
-        self._spec = _coerce_scheme(scheme)
+        self._spec = SummarySpec.coerce(scheme)
         self._head_capacity = self._cfg.effective_head_capacity
         if self._cfg.timed:
             self._count_cap = None

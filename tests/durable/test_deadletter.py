@@ -7,7 +7,7 @@ from repro.durable import (
     DeadLetterLog,
     DurabilityConfig,
     attach_dead_letters,
-    recover_stream_engine,
+    recover_engine,
 )
 from repro.engine import StreamEngine
 from repro.shard import ShardedEngine, SummarySpec
@@ -124,7 +124,7 @@ class TestRedrive:
         feed_with_late(eng, n_late=2)
         eng.close()
 
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.late_dropped == 2  # replay reproduces the drops
         before = rec.points_ingested
         log = DeadLetterLog(tmp_path / "wal")
@@ -147,7 +147,7 @@ class TestRedrive:
         eng.close()
         # Recover WITH durability: replayed late drops must not be
         # re-appended to the dead-letter log (hook attaches after).
-        rec = recover_stream_engine(
+        rec = recover_engine(
             tmp_path / "wal", durability=DurabilityConfig(tmp_path / "wal")
         )
         assert rec.late_dropped == 2

@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -87,10 +88,10 @@ def apply_op(engine, op, timed: bool):
         engine.ingest_arrays(np.array(keys), pts, **kw)
 
 
-def check_prefixes(tmp, ops, cut_frac, timed, window):
+def check_prefixes(tmp, ops, cut_frac, timed, window, spec=SPEC):
     wal_dir = Path(tmp) / "wal"
     eng = StreamEngine(
-        SPEC.build,
+        spec,
         window=window,
         durability=DurabilityConfig(wal_dir, dead_letters=False),
     )
@@ -102,10 +103,10 @@ def check_prefixes(tmp, ops, cut_frac, timed, window):
     assert len(entries) == len(ops) + 1  # meta + one per op
     cut = 1 + int(cut_frac * len(ops))  # keep meta, cut the op tail
 
-    replayed = StreamEngine(SPEC.build, window=window)
+    replayed = StreamEngine(spec, window=window)
     replay_into(replayed, entries[:cut])
 
-    direct = StreamEngine(SPEC.build, window=window)
+    direct = StreamEngine(spec, window=window)
     for op in ops[: cut - 1]:
         apply_op(direct, op, timed)
 
@@ -140,6 +141,24 @@ def test_event_time_prefix_replay_is_direct_ingest(ops, cut_frac):
 def test_unwindowed_prefix_replay_is_direct_ingest(ops, cut_frac):
     with tempfile.TemporaryDirectory() as tmp:
         check_prefixes(tmp, ops, cut_frac, timed=False, window=None)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SummarySpec("UniformHull", {"r": 16}),
+        SummarySpec("FixedSizeAdaptiveHull", {"r": 8}),
+        SummarySpec("ExactHull"),
+    ],
+    ids=lambda spec: spec.scheme,
+)
+@settings(**SETTINGS)
+@given(ops=op_streams(timed=False), cut_frac=st.floats(0.0, 1.0))
+def test_other_schemes_prefix_replay_is_direct_ingest(spec, ops, cut_frac):
+    """The unwindowed property for the registered schemes besides
+    AdaptiveHull (which every test above builds)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        check_prefixes(tmp, ops, cut_frac, timed=False, window=None, spec=spec)
 
 
 def test_sharded_prefix_replay_matches_direct_ingest(tmp_path):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.durable import (
-    DurabilityConfig,
-    WalError,
-    recover_engine,
-    recover_sharded_engine,
-    recover_stream_engine,
-)
+from repro.durable import DurabilityConfig, WalError, recover_engine
 from repro.engine import StreamEngine
 from repro.shard import ShardedEngine, SummarySpec
 from repro.window import WindowConfig
@@ -40,7 +34,7 @@ class TestStreamRecovery:
         expect = eng.snapshot_state()
         eng.close()
 
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.last_replay["rejected"] == 0
         assert rec.last_replay["records"] == len(keys) + 1
         assert rec.snapshot_state() == expect
@@ -88,7 +82,7 @@ class TestStreamRecovery:
         eng.close()
         assert dropped == 1
 
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.snapshot_state() == expect
         assert rec.late_dropped == dropped  # the verdict replays too
         rec.close()
@@ -111,7 +105,7 @@ class TestStreamRecovery:
         expect = eng.snapshot_state()
         eng.close()
 
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.last_replay["rejected"] == 1
         assert rec.snapshot_state() == expect
         rec.close()
@@ -128,13 +122,15 @@ class TestStreamRecovery:
         from repro.durable import list_snapshots
 
         assert list_snapshots(tmp_path / "wal")  # compaction actually ran
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.snapshot_state() == expect
         # Only the post-snapshot tail was replayed.
         assert rec.last_replay["records"] < len(keys)
         rec.close()
 
     def test_lambda_factory_needs_explicit_factory(self, tmp_path):
+        # The log meta records the lambda's spec, so recovery needs no
+        # restated factory (the test name predates that contract).
         from repro import AdaptiveHull
 
         eng = StreamEngine(
@@ -143,11 +139,9 @@ class TestStreamRecovery:
         eng.insert("k", 1.0, 2.0)
         expect = eng.snapshot_state()
         eng.close()
-        with pytest.raises(WalError, match="factory"):
-            recover_stream_engine(tmp_path / "wal")
-        rec = recover_stream_engine(
-            tmp_path / "wal", factory=lambda: AdaptiveHull(8)
-        )
+        rec = recover_engine(tmp_path / "wal")
+        assert isinstance(rec, StreamEngine)
+        assert rec.spec == SummarySpec.coerce(SPEC)
         assert rec.snapshot_state() == expect
         rec.close()
 
@@ -157,14 +151,14 @@ class TestStreamRecovery:
         eng.ingest_arrays(keys[:50], pts[:50])
         eng.close()
 
-        mid = recover_stream_engine(
+        mid = recover_engine(
             tmp_path / "wal", durability=cfg(tmp_path)
         )
         mid.ingest_arrays(keys[50:], pts[50:])
         expect = mid.snapshot_state()
         mid.close()
 
-        rec = recover_stream_engine(tmp_path / "wal")
+        rec = recover_engine(tmp_path / "wal")
         assert rec.last_replay["records"] == 100
         assert rec.snapshot_state() == expect
         rec.close()
@@ -207,7 +201,7 @@ class TestShardedRecovery:
             hulls = {k: eng.hull(k) for k in pool}
             merged = eng.merged_hull()
 
-        rec = recover_sharded_engine(tmp_path / "wal", shards=3)
+        rec = recover_engine(tmp_path / "wal", workers=3)
         try:
             assert rec.num_shards == 3
             for k in pool:
@@ -229,6 +223,23 @@ class TestShardedRecovery:
         for k in pool:
             assert rec.hull(k) == hulls[k]
         rec.close()
+
+    def test_compacted_ring_log_refuses_stream_tier(self, tmp_path):
+        keys, pts, _, _ = workload(n=120)
+        with ShardedEngine(
+            SPEC, shards=2, durability=cfg(tmp_path, snapshot_every=1)
+        ) as eng:
+            eng.ingest_arrays(keys, pts)
+        with pytest.raises(WalError, match="'shard'-tier snapshot"):
+            recover_engine(tmp_path / "wal", workers=0)
+
+    def test_compacted_engine_log_refuses_ring(self, tmp_path):
+        keys, pts, _, _ = workload(n=120)
+        eng = StreamEngine(SPEC, durability=cfg(tmp_path, snapshot_every=1))
+        eng.ingest_arrays(keys, pts)
+        eng.close()
+        with pytest.raises(WalError, match="'engine'-tier snapshot"):
+            recover_engine(tmp_path / "wal", workers=2)
 
     def test_event_time_ring_replays_drops(self, tmp_path):
         from repro.streams import bounded_shuffle

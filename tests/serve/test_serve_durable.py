@@ -1,11 +1,12 @@
 """Serving with durability: WAL behind the coalescer, resize over HTTP.
 
-The serve-tier durability contract: ``durability=`` on the service
-attaches the WAL to the *engine thread* (write-ahead of each apply, so
-the log captures exactly the applied order even when coalescing
-re-sorts arrivals), a recovered engine is served with
-``durability=None`` (double-attach is refused loudly), and the gateway's
-admin ``resize`` verb carries the live ring resize over the wire.
+The serve-tier durability contract: the served engine's own WAL
+(``durability=`` on the engine) is written on the *engine thread*
+(write-ahead of each apply, so the log captures exactly the applied
+order even when coalescing re-sorts arrivals), a recovered engine is
+served as it comes back from ``recover_engine`` (a second attach is
+refused loudly), and the gateway's admin ``resize`` verb carries the
+live ring resize over the wire.
 """
 
 import asyncio
@@ -34,11 +35,11 @@ class TestServiceDurability:
         keys, pts = workload()
 
         async def run():
-            engine = StreamEngine(SPEC.build)
+            engine = StreamEngine(
+                SPEC.build, durability=DurabilityConfig(tmp_path / "wal")
+            )
             async with AsyncHullService(
-                engine,
-                own_engine=True,
-                durability=DurabilityConfig(tmp_path / "wal"),
+                engine, own_engine=True
             ) as service:
                 for lo in range(0, len(keys), 80):
                     await service.ingest_arrays(
@@ -81,8 +82,8 @@ class TestServiceDurability:
             tmp_path / "wal", durability=DurabilityConfig(tmp_path / "wal")
         )
         with pytest.raises(WalError):
-            AsyncHullService(
-                rec, durability=DurabilityConfig(tmp_path / "wal")
+            rec.attach_durability(
+                DurabilityConfig(tmp_path / "wal"), require_empty=True
             )
         rec.close()
 
@@ -90,8 +91,8 @@ class TestServiceDurability:
         # non-empty log is refused too (it would re-log the replay).
         rec = recover_engine(tmp_path / "wal")
         with pytest.raises(WalError, match="already holds"):
-            AsyncHullService(
-                rec, durability=DurabilityConfig(tmp_path / "wal")
+            rec.attach_durability(
+                DurabilityConfig(tmp_path / "wal"), require_empty=True
             )
         rec.close()
 
@@ -106,7 +107,7 @@ class TestServiceDurability:
 
         async def run():
             # The documented pattern: recover_engine re-attaches the
-            # log, the service gets durability=None.
+            # log, the service serves the engine as it is.
             engine = recover_engine(
                 tmp_path / "wal",
                 durability=DurabilityConfig(tmp_path / "wal"),

@@ -42,7 +42,11 @@ SPEC = SummarySpec("AdaptiveHull", {"r": 16})
 
 
 def test_spec_coercion_and_validation():
-    assert SummarySpec.coerce(SPEC) is SPEC
+    # Coercion fills partial kwargs to the full config; a canonical
+    # spec comes back as itself.
+    canonical = SummarySpec.coerce(SPEC)
+    assert canonical.config == SPEC.build().get_config()
+    assert SummarySpec.coerce(canonical) is canonical
     from_cls = SummarySpec.coerce(ExactHull)
     assert from_cls.build().name == "exact"
     from_inst = SummarySpec.coerce(AdaptiveHull(32, queue_mode="exact"))

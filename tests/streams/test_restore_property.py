@@ -174,12 +174,12 @@ def test_stream_engine_refuses_unregistered_scheme():
 
 
 def test_sharded_engine_refuses_unregistered_scheme():
-    with pytest.raises(ValueError, match="DudleyKernelHull"):
+    with pytest.raises(TypeError, match="DudleyKernelHull"):
         ShardedEngine(DudleyKernelHull, shards=2)
 
 
 def test_windowed_engine_refuses_unregistered_scheme():
-    with pytest.raises(ValueError, match="RadialHistogramHull"):
+    with pytest.raises(TypeError, match="RadialHistogramHull"):
         StreamEngine(
             lambda: RadialHistogramHull(8), window={"last_n": 100}
         )

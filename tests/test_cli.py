@@ -319,6 +319,18 @@ class TestDurableCommands:
         out = capsys.readouterr().out
         assert "recovered    : 0 WAL entries" in out
 
+    def test_recover_refuses_other_tier_after_compaction(
+        self, tmp_path, capsys
+    ):
+        wal = str(tmp_path / "wal")
+        assert main(
+            ["engine", "--n", "2000", "--workers", "2", "--wal-dir", wal]
+        ) == 0
+        assert main(["durable", "recover", wal, "--compact"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="'shard'-tier snapshot"):
+            main(["durable", "recover", wal, "--workers", "0"])
+
     def test_timed_wal_resume_continues_event_time(self, tmp_path, capsys):
         # A resumed run numbers its event times on from the recovered
         # records, so the strict time window accepts them.
